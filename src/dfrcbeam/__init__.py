@@ -15,7 +15,7 @@ from .altmin import (
 )
 from .channel import ChannelParams, ChannelRealization, generate_channel, optimal_digital_beamformers
 from .hybrid import AnalogBeamformer, BasebandBeamformer, HybridBeamformer, normalize_power
-from .metrics import RatePoint, achievable_rate, fitting_errors, peak_deviation
+from .metrics import achievable_rate, fitting_errors, peak_deviation
 from .ula import TargetScene, UlaConfig, beampattern, covariance_of, radar_beamformer, steering_vector
 
 __version__ = "0.1.0"
@@ -29,7 +29,6 @@ __all__ = [
     "ChannelParams",
     "ChannelRealization",
     "HybridBeamformer",
-    "RatePoint",
     "SolverError",
     "TargetScene",
     "UlaConfig",

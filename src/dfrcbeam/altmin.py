@@ -30,8 +30,7 @@ from .hybrid import (
     materialize_product,
     normalize_power,
 )
-
-TWO_PI = 2.0 * math.pi
+from .ula import TWO_PI
 
 
 class SolverError(RuntimeError):
@@ -54,6 +53,8 @@ class AltMinConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.eta, self.total_power, self.tolerance)):
+            raise ValueError("eta, total_power and tolerance must be finite")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if not self.total_power > 0:
@@ -165,8 +166,7 @@ def solve_analog(baseband, f_com, f_rad_u, eta: float,
     rows = np.repeat(baseband, block, axis=0)
     mixed = eta * f_com + (1.0 - eta) * f_rad_u
     corr = np.einsum("ik,ik->i", mixed, rows.conj())
-    phases = np.angle(corr) % TWO_PI
-    phases[phases >= TWO_PI] = 0.0
+    phases = np.angle(corr)
     degenerate = corr == 0
     if np.any(degenerate):
         fallback = previous.phases if previous is not None else np.zeros(num_antennas)
@@ -187,7 +187,9 @@ def solve_sphere_least_squares(q: np.ndarray, g: np.ndarray, target_sq_norm: flo
     eigenvector so the sphere is still reached.
 
     Returns (x, lam).  Q + lam I is positive semidefinite, which certifies the
-    global optimum.
+    global optimum.  The alternating loop does not need this general solver,
+    because its Gram matrix is a multiple of the identity (see
+    `solve_baseband`); the tests keep it as the reference for that closed form.
     """
     q = np.asarray(q, dtype=complex)
     g = np.asarray(g, dtype=complex)
@@ -257,17 +259,25 @@ def solve_baseband(analog: AnalogBeamformer, f_com, f_rad_u, eta: float,
     """Optimal baseband stage on its power sphere with the other blocks fixed.
 
     Expanding the objective in F_BB gives a least-squares problem with Gram
-    matrix Q = F_RF^H F_RF and target G mixing both fitting terms, constrained
-    to the sphere ||F_BB||_F^2 = num_rf_chains * total_power / num_antennas.
+    matrix F_RF^H F_RF and target G = F_RF^H M, where M mixes both targets,
+    constrained to the sphere ||F_BB||_F^2 = num_rf_chains * total_power /
+    num_antennas.  The analog blocks have disjoint supports and unit-modulus
+    entries, so the Gram matrix is block_size * I and the optimum is G scaled
+    onto the sphere.  Row r of G sums e^{-j phi_i} m_i over the antennas of
+    chain r.  When G is zero every point of the sphere is optimal, and the
+    first entry is picked.
     """
-    f_com = np.asarray(f_com)
-    f_rad_u = np.asarray(f_rad_u)
-    f_rf = analog.to_matrix()
-    q = f_rf.conj().T @ f_rf
-    g = f_rf.conj().T @ (eta * f_com + (1.0 - eta) * f_rad_u)
-    target = analog.num_rf_chains * total_power / analog.num_antennas
-    x, _ = solve_sphere_least_squares(q, g, target)
-    return BasebandBeamformer(x)
+    mixed = eta * np.asarray(f_com) + (1.0 - eta) * np.asarray(f_rad_u)
+    if mixed.shape[0] != analog.num_antennas:
+        raise ValueError(f"targets have {mixed.shape[0]} rows, expected {analog.num_antennas}")
+    rotated = np.exp(-1j * analog.phases)[:, None] * mixed
+    g = rotated.reshape(analog.num_rf_chains, analog.block_size, -1).sum(axis=1)
+    if not np.all(np.isfinite(g)):
+        raise SolverError("non-finite entries in the baseband target")
+    if not np.any(g):
+        g[0, 0] = 1.0
+    return normalize_power(BasebandBeamformer(g), analog.num_antennas,
+                           analog.num_rf_chains, total_power)
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:

@@ -71,6 +71,11 @@ class ExperimentConfig:
             object.__setattr__(self, "total_power", float(self.total_power))
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         counts = {
             "n_tx": self.n_tx, "n_rx": self.n_rx, "n_streams": self.n_streams,
             "n_rf": self.n_rf, "n_paths": self.n_paths,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .ula import TWO_PI
 
 
 def _canonical_phases(phases: np.ndarray) -> np.ndarray:

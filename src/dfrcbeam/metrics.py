@@ -3,21 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class RatePoint:
-    """One point of a rate curve: SNR in dB and spectral efficiency in bit/s/Hz."""
-
-    snr_db: float
-    rate_bits_per_hz: float
-
-    def __post_init__(self) -> None:
-        if not self.rate_bits_per_hz >= 0:
-            raise ValueError("rate must be nonnegative")
 
 
 def achievable_rate(h, f, w, snr_db: float) -> float:

@@ -16,9 +16,7 @@ from dfrcbeam.altmin import (
     solve_unitary,
 )
 from dfrcbeam.hybrid import AnalogBeamformer, BasebandBeamformer, materialize_product
-from dfrcbeam.ula import TargetScene, radar_beamformer
-
-TWO_PI = 2.0 * math.pi
+from dfrcbeam.ula import TWO_PI, TargetScene, radar_beamformer
 
 
 def crandn(rng, shape):
@@ -62,6 +60,10 @@ def test_altmin_config_validation():
         AltMinConfig(eta=0.5, total_power=1.0, tolerance=0.0)
     with pytest.raises(ValueError):
         AltMinConfig(eta=0.5, total_power=1.0, max_iterations=0)
+    with pytest.raises(ValueError, match="finite"):
+        AltMinConfig(eta=0.5, total_power=math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        AltMinConfig(eta=0.5, total_power=1.0, tolerance=math.inf)
 
 
 def test_auxiliary_unitary_validation():
@@ -278,6 +280,64 @@ def test_solve_baseband_meets_power_constraint():
     result = solve_baseband(analog, f_com, f_rad_u, 0.6, total_power=5.0)
     target = 4 * 5.0 / 12
     assert abs(np.sum(np.abs(result.matrix) ** 2) - target) <= 1e-10 * target
+
+
+def baseband_objective(analog, baseband, mixed):
+    diff = materialize_product(analog, baseband) - mixed
+    return float(np.vdot(diff, diff).real)
+
+
+@pytest.mark.parametrize("num_rf, block", [(1, 6), (4, 3), (6, 2), (24, 5)])
+def test_solve_baseband_matches_sphere_oracle(num_rf, block):
+    rng = np.random.default_rng(56 + num_rf)
+    num_antennas = num_rf * block
+    for _ in range(20):
+        analog = AnalogBeamformer(num_antennas, num_rf, rng.uniform(0, TWO_PI, num_antennas))
+        f_com = crandn(rng, (num_antennas, 3))
+        f_rad_u = crandn(rng, (num_antennas, 3))
+        eta = float(rng.uniform(0, 1))
+        power = float(rng.uniform(0.5, 8.0))
+        c = num_rf * power / num_antennas
+        mixed = eta * f_com + (1 - eta) * f_rad_u
+        f_rf = analog.to_matrix()
+        oracle, _ = solve_sphere_least_squares(f_rf.conj().T @ f_rf, f_rf.conj().T @ mixed, c)
+        closed = solve_baseband(analog, f_com, f_rad_u, eta, power).matrix
+        for x in (closed, oracle):
+            assert abs(np.sum(np.abs(x) ** 2) - c) <= 1e-12 * c
+        expected = baseband_objective(analog, oracle, mixed)
+        assert abs(baseband_objective(analog, closed, mixed) - expected) <= 1e-12 * (1 + expected)
+        np.testing.assert_allclose(closed, oracle, atol=1e-12)
+
+
+def test_solve_baseband_zero_target_picks_first_entry():
+    # every point of the sphere is optimal; the oracle's choice follows
+    # eigenvector rounding, so only power and optimality are compared with it
+    analog = AnalogBeamformer(12, 4, np.random.default_rng(57).uniform(0, TWO_PI, 12))
+    zeros = np.zeros((12, 3), dtype=complex)
+    c = 4 * 5.0 / 12
+    closed = solve_baseband(analog, zeros, zeros, 0.6, total_power=5.0).matrix
+    expected = np.zeros((4, 3), dtype=complex)
+    expected[0, 0] = math.sqrt(c)
+    np.testing.assert_array_equal(closed, expected)
+    f_rf = analog.to_matrix()
+    oracle, _ = solve_sphere_least_squares(f_rf.conj().T @ f_rf, np.zeros((4, 3)), c)
+    assert abs(np.sum(np.abs(oracle) ** 2) - c) <= 1e-12 * c
+    assert abs(baseband_objective(analog, closed, zeros)
+               - baseband_objective(analog, oracle, zeros)) <= 1e-12
+
+
+def test_alternating_minimization_skips_dense_analog_and_sphere_solver(monkeypatch):
+    import dfrcbeam.altmin as altmin_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense path reached")
+
+    monkeypatch.setattr(AnalogBeamformer, "to_matrix", forbidden)
+    monkeypatch.setattr(altmin_module, "solve_sphere_least_squares", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    f_com, f_rad = toy_problem(59)
+    config = AltMinConfig(eta=0.5, total_power=3.0, max_iterations=5, rng_seed=2)
+    assert alternating_minimization(f_com, f_rad, 4, config).iterations_used >= 1
 
 
 def test_each_block_solve_never_increases_objective():

@@ -302,6 +302,20 @@ def test_cli_rejects_invalid_inputs(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, field, value", [
+    (["rate-sweep"], "snr_db_values", [math.nan]),
+    (["convergence", "--eta", "0.5"], "tolerance", math.inf),
+    (["rate-sweep"], "total_power", math.inf),
+    (["beampattern", "--eta", "0.5"], "beampattern_grid_deg", [-90.0, 90.0, math.inf]),
+])
+def test_cli_rejects_non_finite_config_values(tmp_path, capsys, command, field, value):
+    config_path = write_toy_config(tmp_path, **{field: value})
+    out = tmp_path / "x.csv"
+    assert main([*command, "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_beampattern_header_and_determinism(tmp_path):
     config_path = write_toy_config(tmp_path)
     out_a = tmp_path / "bp_a.csv"

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -12,8 +10,7 @@ from dfrcbeam.hybrid import (
     materialize_product,
     normalize_power,
 )
-
-TWO_PI = 2.0 * math.pi
+from dfrcbeam.ula import TWO_PI
 
 
 def random_hybrid(rng, num_antennas, num_rf, num_streams):

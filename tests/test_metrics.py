@@ -6,7 +6,7 @@ import pytest
 from dfrcbeam.altmin import AltMinConfig, alternating_minimization, objective
 from dfrcbeam.channel import ChannelParams, generate_channel, optimal_digital_beamformers
 from dfrcbeam.hybrid import AnalogBeamformer, materialize_product
-from dfrcbeam.metrics import RatePoint, achievable_rate, fitting_errors, peak_deviation
+from dfrcbeam.metrics import achievable_rate, fitting_errors, peak_deviation
 from dfrcbeam.ula import (
     TargetScene,
     UlaConfig,
@@ -20,12 +20,6 @@ from dfrcbeam.ula import (
 
 def crandn(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
-
-
-def test_rate_point_validation():
-    RatePoint(snr_db=0.0, rate_bits_per_hz=0.0)
-    with pytest.raises(ValueError):
-        RatePoint(snr_db=0.0, rate_bits_per_hz=-0.1)
 
 
 def test_rate_zero_channel_is_exactly_zero():
