@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metrics
 from .hybrid import (
     AnalogBeamformer,
     BasebandBeamformer,
@@ -105,22 +106,8 @@ def _as_matrix(x) -> np.ndarray:
 
 def objective(analog: AnalogBeamformer, baseband, unitary, f_com, f_rad, eta: float) -> float:
     """Weighted sum of squared Frobenius distances from the hybrid product to both targets."""
-    baseband = _as_matrix(baseband)
-    unitary = _as_matrix(unitary)
-    f_com = np.asarray(f_com)
-    f_rad = np.asarray(f_rad)
-    if f_com.shape != (analog.num_antennas, baseband.shape[1]):
-        raise ValueError(f"f_com has shape {f_com.shape}, expected "
-                         f"{(analog.num_antennas, baseband.shape[1])}")
-    if f_rad.shape != (analog.num_antennas, unitary.shape[0]):
-        raise ValueError(f"f_rad has shape {f_rad.shape}, expected "
-                         f"{(analog.num_antennas, unitary.shape[0])}")
-    if unitary.shape[1] != baseband.shape[1]:
-        raise ValueError("unitary and baseband disagree on the stream count")
-    product = materialize_product(analog, baseband)
-    d_com = product - f_com
-    d_rad = product - f_rad @ unitary
-    return float(eta * np.vdot(d_com, d_com).real + (1.0 - eta) * np.vdot(d_rad, d_rad).real)
+    product = materialize_product(analog, _as_matrix(baseband))
+    return metrics.fitting_errors(product, f_com, np.asarray(f_rad) @ _as_matrix(unitary), eta)[2]
 
 
 def solve_unitary(f_rad, product) -> AuxiliaryUnitary:
@@ -327,16 +314,19 @@ def alternating_minimization(f_com, f_rad, num_rf_chains: int,
     analog, baseband, unitary = random_start(
         num_antennas, num_rf_chains, num_streams, num_targets, config.total_power, rng
     )
-    trace = [objective(analog, baseband, unitary, f_com, f_rad, config.eta)]
+    # the product of one iteration is the input of the next one's unitary solve
+    product = materialize_product(analog, baseband.matrix)
+    trace = [metrics.fitting_errors(product, f_com, f_rad @ unitary.matrix, config.eta)[2]]
     threshold = config.tolerance * (1.0 + trace[0])
     iterations = 0
     converged = False
     for step in range(1, config.max_iterations + 1):
-        unitary = solve_unitary(f_rad, materialize_product(analog, baseband.matrix))
+        unitary = solve_unitary(f_rad, product)
         f_rad_u = f_rad @ unitary.matrix
         analog = solve_analog(baseband, f_com, f_rad_u, config.eta, previous=analog)
         baseband = solve_baseband(analog, f_com, f_rad_u, config.eta, config.total_power)
-        trace.append(objective(analog, baseband, unitary, f_com, f_rad, config.eta))
+        product = materialize_product(analog, baseband.matrix)
+        trace.append(metrics.fitting_errors(product, f_com, f_rad_u, config.eta)[2])
         iterations = step
         if abs(trace[-1] - trace[-2]) < threshold:
             converged = True

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -178,8 +179,8 @@ class TrialDesign:
     report: altmin.AltMinReport
 
 
-def design_trial(config: ExperimentConfig, eta: float, trial: int) -> TrialDesign:
-    """Draw the trial's channel, build both targets, and run the alternating design."""
+def draw_trial(config: ExperimentConfig, trial: int):
+    """The trial's channel and both targets, shared by every eta: (channel, f_com, w_com, f_rad)."""
     params = channel.ChannelParams(
         num_tx=config.n_tx, num_rx=config.n_rx, num_paths=config.n_paths,
         rng_seed=config.base_seed + trial,
@@ -191,7 +192,12 @@ def design_trial(config: ExperimentConfig, eta: float, trial: int) -> TrialDesig
     scene = ula.TargetScene(
         tuple(math.radians(a) for a in config.target_angles_deg), config.n_tx
     )
-    f_rad = ula.radar_beamformer(scene, config.total_power)
+    return realization, f_com, w_com, ula.radar_beamformer(scene, config.total_power)
+
+
+def design_trial(config: ExperimentConfig, eta: float, trial: int, draw=None) -> TrialDesign:
+    """Run the alternating design on the trial's draw, made here unless `draw` passes one."""
+    realization, f_com, w_com, f_rad = draw if draw is not None else draw_trial(config, trial)
     alt_config = altmin.AltMinConfig(
         eta=eta, total_power=config.total_power, tolerance=config.tolerance,
         max_iterations=config.max_iterations,
@@ -202,6 +208,8 @@ def design_trial(config: ExperimentConfig, eta: float, trial: int) -> TrialDesig
 
 
 def _map_trials(worker, tasks, workers: int) -> list:
+    # the pool forks all its workers on the first submit, so never ask for idle ones
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -216,9 +224,11 @@ def _rate_trial(task) -> dict:
     radar_errs = []
     iterations = []
     converged = []
+    draw = None
     for eta in config.eta_values:
         try:
-            design = design_trial(config, eta, trial)
+            draw = draw or draw_trial(config, trial)
+            design = design_trial(config, eta, trial, draw)
             hybrid = design.report.hybrid.materialize()
             comm, radar, _ = metrics.fitting_errors(
                 hybrid, design.f_com, design.f_rad @ design.report.unitary.matrix, eta

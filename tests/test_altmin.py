@@ -340,6 +340,33 @@ def test_alternating_minimization_skips_dense_analog_and_sphere_solver(monkeypat
     assert alternating_minimization(f_com, f_rad, 4, config).iterations_used >= 1
 
 
+def test_alternating_minimization_materializes_once_per_iteration(monkeypatch):
+    import dfrcbeam.altmin as altmin_module
+    calls = []
+    original = altmin_module.materialize_product
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(altmin_module, "materialize_product", counted)
+    f_com, f_rad = toy_problem(61)
+    config = AltMinConfig(eta=0.6, total_power=3.0, max_iterations=50, rng_seed=4)
+    report = alternating_minimization(f_com, f_rad, 4, config)
+    assert report.iterations_used > 1
+    assert len(calls) == report.iterations_used + 1
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
+def test_objective_trace_ends_at_the_final_objective(eta):
+    f_com, f_rad = toy_problem(62)
+    config = AltMinConfig(eta=eta, total_power=3.0, max_iterations=50, rng_seed=5)
+    report = alternating_minimization(f_com, f_rad, 4, config)
+    final = objective(report.hybrid.analog, report.hybrid.baseband, report.unitary,
+                      f_com, f_rad, eta)
+    assert report.objective_trace[-1] == final
+
+
 def test_each_block_solve_never_increases_objective():
     rng = np.random.default_rng(55)
     for trial in range(20):

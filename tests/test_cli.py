@@ -13,6 +13,7 @@ from dfrcbeam.cli import (
     ExperimentConfig,
     config_from_dict,
     design_trial,
+    draw_trial,
     load_config,
     main,
     run_beampattern,
@@ -154,10 +155,10 @@ def test_rate_sweep_wraps_trial_failures():
     import dfrcbeam.cli as cli_module
     original = cli_module.design_trial
 
-    def boom(cfg, eta, trial):
+    def boom(cfg, eta, trial, draw=None):
         if trial == 1:
             raise np.linalg.LinAlgError("synthetic failure")
-        return original(cfg, eta, trial)
+        return original(cfg, eta, trial, draw)
 
     cli_module.design_trial = boom
     try:
@@ -165,6 +166,83 @@ def test_rate_sweep_wraps_trial_failures():
             run_rate_sweep(bad)
     finally:
         cli_module.design_trial = original
+
+
+def test_rate_sweep_wraps_draw_failures(monkeypatch):
+    import dfrcbeam.cli as cli_module
+    original = cli_module.draw_trial
+
+    def boom(cfg, trial):
+        if trial == 1:
+            raise np.linalg.LinAlgError("synthetic failure")
+        return original(cfg, trial)
+
+    monkeypatch.setattr(cli_module, "draw_trial", boom)
+    with pytest.raises(altmin.SolverError, match="trial 1"):
+        run_rate_sweep(toy_config(num_trials=2))
+
+
+def test_rate_sweep_draws_each_trial_once_for_all_etas(monkeypatch):
+    from dfrcbeam import channel, ula
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(channel, "generate_channel")
+    counted(channel, "optimal_digital_beamformers")
+    counted(ula, "radar_beamformer")
+    run_rate_sweep(toy_config(num_trials=3, eta_values=[0.2, 0.5, 0.8, 1.0]))
+    assert calls == {"generate_channel": 3, "optimal_digital_beamformers": 3,
+                     "radar_beamformer": 3}
+
+
+def test_design_trial_on_a_given_draw_matches_its_own_draw():
+    config = toy_config()
+    shared = design_trial(config, 0.3, 2, draw_trial(config, 2))
+    own = design_trial(config, 0.3, 2)
+    assert shared.report.objective_trace == own.report.objective_trace
+    np.testing.assert_array_equal(shared.channel.matrix, own.channel.matrix)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers, tasks, cpus, expected", [
+    (8, 1, 4, []),      # one task: serial, no pool
+    (8, 3, 4, [3]),     # never more workers than tasks
+    (8, 6, 4, [4]),     # never more workers than cores
+    (2, 6, 4, [2]),     # the request itself when it is the smallest
+    (8, 6, None, []),   # unknown core count: serial
+])
+def test_map_trials_bounds_the_pool(monkeypatch, workers, tasks, cpus, expected):
+    import dfrcbeam.cli as cli_module
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: cpus)
+    results = cli_module._map_trials(lambda x: x * x, list(range(tasks)), workers)
+    assert results == [x * x for x in range(tasks)]
+    assert RecordingPool.sizes == expected
 
 
 def test_beampattern_row_count_matches_grid():
