@@ -14,12 +14,17 @@ target rotate freely inside that equivalence class.
 Each of the three blocks admits an exact solve with the others fixed
 (`solve_unitary`, `solve_analog`, `solve_baseband`), so cycling through them
 in `alternating_minimization` produces a non-increasing objective sequence.
+
+Every block solve is a per-antenna or per-chain array operation, so each is
+implemented once on a stack of problems; `alternating_minimization_batch`
+cycles a stack that differs only in `eta`, and the single design and the
+public 2-D solves are its one-member case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,8 +33,10 @@ from .hybrid import (
     AnalogBeamformer,
     BasebandBeamformer,
     HybridBeamformer,
+    canonical_phases,
     materialize_product,
     normalize_power,
+    scale_to_power,
 )
 from .ula import TWO_PI
 
@@ -78,10 +85,17 @@ class AuxiliaryUnitary:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] > m.shape[1]:
             raise ValueError("matrix must be 2-D with no more rows than columns")
-        gram = m @ m.conj().T
-        if np.linalg.norm(gram - np.eye(m.shape[0])) > 1e-9:
-            raise ValueError("rows are not orthonormal")
+        _check_orthonormal_rows(m)
         object.__setattr__(self, "matrix", m)
+
+
+def _check_orthonormal_rows(matrices: np.ndarray) -> None:
+    """Raise unless every matrix of a stack (last two axes) has orthonormal rows."""
+    gram = matrices @ matrices.conj().swapaxes(-1, -2)
+    defect = (gram - np.eye(matrices.shape[-2])).view(np.float64)
+    # Frobenius norm of the defect at most 1e-9; written so that NaN fails too
+    if not np.square(defect).sum(axis=(-2, -1)).max() <= 1e-18:
+        raise ValueError("rows are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -123,8 +137,19 @@ def solve_unitary(f_rad, product) -> AuxiliaryUnitary:
         raise ValueError("f_rad and product must have the same number of rows")
     if f_rad.shape[1] > product.shape[1]:
         raise ValueError("need at least as many streams as radar targets")
-    u, _, vh = np.linalg.svd(f_rad.conj().T @ product, full_matrices=False)
-    return AuxiliaryUnitary(u @ vh)
+    return AuxiliaryUnitary(_unitary_step(f_rad, product[None])[0])
+
+
+def _unitary_step(f_rad: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """`solve_unitary` for a stack of products (B, N, S): the (B, T, S) minimizers."""
+    u, _, vh = np.linalg.svd(f_rad.conj().T @ products, full_matrices=False)
+    return u @ vh
+
+
+def _mix(f_com: np.ndarray, f_rad_u: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Mixed targets eta f_com + (1 - eta) f_rad_u, one per entry of `eta`."""
+    weight = eta[:, None, None]
+    return weight * f_com + (1.0 - weight) * f_rad_u
 
 
 def solve_analog(baseband, f_com, f_rad_u, eta: float,
@@ -149,16 +174,24 @@ def solve_analog(baseband, f_com, f_rad_u, eta: float,
         raise ValueError("baseband and targets disagree on the stream count")
     if num_antennas % num_rf != 0:
         raise ValueError(f"{num_antennas} antennas not divisible by {num_rf} RF chains")
-    block = num_antennas // num_rf
-    rows = np.repeat(baseband, block, axis=0)
-    mixed = eta * f_com + (1.0 - eta) * f_rad_u
-    corr = np.einsum("ik,ik->i", mixed, rows.conj())
-    phases = np.angle(corr)
-    degenerate = corr == 0
-    if np.any(degenerate):
-        fallback = previous.phases if previous is not None else np.zeros(num_antennas)
-        phases = np.where(degenerate, fallback, phases)
+    fallback = previous.phases if previous is not None else np.zeros(num_antennas)
+    mixed = _mix(f_com, f_rad_u, np.array([eta], dtype=float))
+    phases = _analog_step(baseband[None], mixed, fallback[None])[0]
     return AnalogBeamformer(num_antennas, num_rf, phases)
+
+
+def _analog_step(basebands: np.ndarray, mixed: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """`solve_analog` for a stack: basebands (B, R, S), mixed targets (B, N, S)
+    and the phases (B, N) kept where the correlation is zero; returns the
+    canonical (B, N) phases."""
+    count, num_rf, num_streams = basebands.shape
+    blocks = mixed.reshape(count, num_rf, -1, num_streams)
+    corr = np.einsum("brak,brk->bra", blocks, basebands.conj()).reshape(count, -1)
+    phases = np.arctan2(corr.imag, corr.real)
+    degenerate = corr == 0
+    if degenerate.any():
+        phases = np.where(degenerate, previous, phases)
+    return canonical_phases(phases)
 
 
 def solve_sphere_least_squares(q: np.ndarray, g: np.ndarray, target_sq_norm: float):
@@ -254,17 +287,28 @@ def solve_baseband(analog: AnalogBeamformer, f_com, f_rad_u, eta: float,
     chain r.  When G is zero every point of the sphere is optimal, and the
     first entry is picked.
     """
-    mixed = eta * np.asarray(f_com) + (1.0 - eta) * np.asarray(f_rad_u)
-    if mixed.shape[0] != analog.num_antennas:
-        raise ValueError(f"targets have {mixed.shape[0]} rows, expected {analog.num_antennas}")
-    rotated = np.exp(-1j * analog.phases)[:, None] * mixed
-    g = rotated.reshape(analog.num_rf_chains, analog.block_size, -1).sum(axis=1)
-    if not np.all(np.isfinite(g)):
-        raise SolverError("non-finite entries in the baseband target")
-    if not np.any(g):
-        g[0, 0] = 1.0
-    return normalize_power(BasebandBeamformer(g), analog.num_antennas,
-                           analog.num_rf_chains, total_power)
+    eta_stack = np.array([eta], dtype=float)
+    mixed = _mix(np.asarray(f_com), np.asarray(f_rad_u), eta_stack)
+    if mixed.shape[1] != analog.num_antennas:
+        raise ValueError(f"targets have {mixed.shape[1]} rows, expected {analog.num_antennas}")
+    return BasebandBeamformer(_baseband_step(analog.phases[None], mixed, analog.num_rf_chains,
+                                             total_power, eta_stack)[0])
+
+
+def _baseband_step(phases: np.ndarray, mixed: np.ndarray, num_rf: int,
+                   total_power: float, eta: np.ndarray) -> np.ndarray:
+    """`solve_baseband` for a stack: phases (B, N), mixed targets (B, N, S);
+    returns the (B, R, S) basebands.  `eta` names the failing member in errors."""
+    count, num_antennas, num_streams = mixed.shape
+    rotated = np.exp(-1j * phases)[..., None] * mixed
+    g = rotated.reshape(count, num_rf, -1, num_streams).sum(axis=2)
+    if not np.isfinite(g).all():
+        failing = eta[~np.isfinite(g).all(axis=(1, 2))][0]
+        raise SolverError(f"non-finite entries in the baseband target at eta={failing}")
+    nonzero = g.any(axis=(1, 2))
+    if not nonzero.all():
+        g[~nonzero, 0, 0] = 1.0
+    return scale_to_power(g, num_antennas, num_rf, total_power)
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -285,16 +329,68 @@ def random_start(num_antennas: int, num_rf_chains: int, num_streams: int,
     return analog, baseband, unitary
 
 
-def alternating_minimization(f_com, f_rad, num_rf_chains: int,
-                             config: AltMinConfig) -> AltMinReport:
+def alternating_minimization(f_com, f_rad, num_rf_chains: int, config: AltMinConfig,
+                             stack: EtaStack | None = None) -> AltMinReport:
     """Design the hybrid beamformer by cycling exact block solves.
 
     Starts from a seeded random feasible point, then repeats
     auxiliary -> analog -> baseband until the objective improvement falls
     below config.tolerance * (1 + initial objective) or `max_iterations` is
     exhausted.  Every block update is a global solve of its subproblem, so the
-    recorded objective trace never increases.
+    recorded objective trace never increases.  This is the one-member case of
+    `alternating_minimization_batch`.
+
+    `stack` passes an `EtaStack` that holds this design among others of the
+    same problem; the design is then taken from its shared stacked solve,
+    which is bit for bit the same as solving it alone.
     """
+    if stack is None:
+        return alternating_minimization_batch(f_com, f_rad, num_rf_chains, [config])[0]
+    if (f_com is not stack.f_com or f_rad is not stack.f_rad
+            or num_rf_chains != stack.num_rf_chains):
+        raise ValueError("the stack holds a different problem")
+    return stack.report(config)
+
+
+class EtaStack:
+    """Designs of one problem at several `eta`, solved as one stack on first use.
+
+    The configs must differ only in `eta`.  The first `report` runs
+    `alternating_minimization_batch` over all of them, so a caller that asks
+    for the designs one at a time still pays for a single stacked solve.
+    """
+
+    def __init__(self, f_com, f_rad, num_rf_chains: int, configs) -> None:
+        self.f_com = f_com
+        self.f_rad = f_rad
+        self.num_rf_chains = num_rf_chains
+        self.configs = list(configs)
+        self._reports: list[AltMinReport] | None = None
+
+    def report(self, config: AltMinConfig) -> AltMinReport:
+        """The design of `config`, one of the stack's configs."""
+        if self._reports is None:
+            self._reports = alternating_minimization_batch(
+                self.f_com, self.f_rad, self.num_rf_chains, self.configs)
+        return self._reports[self.configs.index(config)]
+
+
+def alternating_minimization_batch(f_com, f_rad, num_rf_chains: int,
+                                   configs) -> list[AltMinReport]:
+    """`alternating_minimization` for several configs that differ only in `eta`.
+
+    Every member starts from the same seeded point, and each iteration runs
+    the three block solves once over the stack of members still running.  A
+    member leaves the stack at the iteration where its own stopping rule
+    fires, so its report equals, bit for bit, the one a stack holding it
+    alone returns.  Reports come back in the order of `configs`.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("need at least one config")
+    first = configs[0]
+    if any(replace(c, eta=first.eta) != first for c in configs[1:]):
+        raise ValueError("configs must differ only in eta")
     f_com = np.asarray(f_com, dtype=complex)
     f_rad = np.asarray(f_rad, dtype=complex)
     if f_com.ndim != 2 or f_rad.ndim != 2 or f_com.shape[0] != f_rad.shape[0]:
@@ -310,31 +406,51 @@ def alternating_minimization(f_com, f_rad, num_rf_chains: int,
     if num_streams < num_targets:
         raise ValueError("need at least as many streams as radar targets")
 
-    rng = np.random.default_rng(config.rng_seed)
+    rng = np.random.default_rng(first.rng_seed)
     analog, baseband, unitary = random_start(
-        num_antennas, num_rf_chains, num_streams, num_targets, config.total_power, rng
+        num_antennas, num_rf_chains, num_streams, num_targets, first.total_power, rng
     )
+    count = len(configs)
+    eta = np.array([c.eta for c in configs], dtype=float)
+    phases = np.tile(analog.phases, (count, 1))
+    basebands = np.tile(baseband.matrix, (count, 1, 1))
+    unitaries = np.tile(unitary.matrix, (count, 1, 1))
     # the product of one iteration is the input of the next one's unitary solve
-    product = materialize_product(analog, baseband.matrix)
-    trace = [metrics.fitting_errors(product, f_com, f_rad @ unitary.matrix, config.eta)[2]]
-    threshold = config.tolerance * (1.0 + trace[0])
-    iterations = 0
-    converged = False
-    for step in range(1, config.max_iterations + 1):
-        unitary = solve_unitary(f_rad, product)
-        f_rad_u = f_rad @ unitary.matrix
-        analog = solve_analog(baseband, f_com, f_rad_u, config.eta, previous=analog)
-        baseband = solve_baseband(analog, f_com, f_rad_u, config.eta, config.total_power)
-        product = materialize_product(analog, baseband.matrix)
-        trace.append(metrics.fitting_errors(product, f_com, f_rad_u, config.eta)[2])
-        iterations = step
-        if abs(trace[-1] - trace[-2]) < threshold:
-            converged = True
+    products = materialize_product(phases, basebands)
+    traces = np.empty((first.max_iterations + 1, count))  # column j: stack entry j
+    traces[0] = metrics.fitting_errors(products, f_com, f_rad @ unitaries, eta)[2]
+    thresholds = first.tolerance * (1.0 + traces[0])
+    members = np.arange(count)  # index into `configs` of each stack entry
+    reports: list[AltMinReport | None] = [None] * count
+    for step in range(1, first.max_iterations + 1):
+        unitaries = _unitary_step(f_rad, products)
+        _check_orthonormal_rows(unitaries)
+        f_rad_u = f_rad @ unitaries
+        mixed = _mix(f_com, f_rad_u, eta)
+        phases = _analog_step(basebands, mixed, phases)
+        basebands = _baseband_step(phases, mixed, num_rf_chains, first.total_power, eta)
+        products = materialize_product(phases, basebands)
+        traces[step] = metrics.fitting_errors(products, f_com, f_rad_u, eta)[2]
+        converged = np.abs(traces[step] - traces[step - 1]) < thresholds
+        leaving = converged if step < first.max_iterations else np.ones(len(members), bool)
+        if not leaving.any():
+            continue
+        for i in np.flatnonzero(leaving):
+            reports[members[i]] = AltMinReport(
+                hybrid=HybridBeamformer(
+                    AnalogBeamformer(num_antennas, num_rf_chains, phases[i]),
+                    BasebandBeamformer(basebands[i].copy()),
+                ),
+                unitary=AuxiliaryUnitary(unitaries[i].copy()),
+                objective_trace=traces[:step + 1, i].tolist(),
+                iterations_used=step,
+                converged=bool(converged[i]),
+            )
+        stay = ~leaving
+        if not stay.any():
             break
-    return AltMinReport(
-        hybrid=HybridBeamformer(analog, baseband),
-        unitary=unitary,
-        objective_trace=trace,
-        iterations_used=iterations,
-        converged=converged,
-    )
+        members, eta, thresholds, phases, basebands, products = (
+            a[stay] for a in (members, eta, thresholds, phases, basebands, products)
+        )
+        traces = traces[:, stay]
+    return reports

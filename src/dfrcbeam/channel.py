@@ -93,7 +93,7 @@ def optimal_digital_beamformers(h: np.ndarray, num_streams: int, total_power: fl
         )
     if not total_power > 0:
         raise ValueError("total_power must be positive")
-    u, _, vh = np.linalg.svd(h)
+    u, _, vh = np.linalg.svd(h, full_matrices=False)
     v = vh.conj().T[:, :num_streams].copy()
     w = u[:, :num_streams].copy()
     for i in range(num_streams):

@@ -179,8 +179,28 @@ class TrialDesign:
     report: altmin.AltMinReport
 
 
+@dataclass(frozen=True)
+class TrialDraw:
+    """What the designs of one trial share: its channel, both targets and, in a
+    sweep, the stacked solve of every configured eta."""
+
+    channel: channel.ChannelRealization
+    f_com: np.ndarray
+    w_com: np.ndarray
+    f_rad: np.ndarray
+    stack: altmin.EtaStack | None = None
+
+
+def radar_target(config: ExperimentConfig) -> np.ndarray:
+    """The radar-only beamformer of the configured targets; the same for every trial."""
+    scene = ula.TargetScene(
+        tuple(math.radians(a) for a in config.target_angles_deg), config.n_tx
+    )
+    return ula.radar_beamformer(scene, config.total_power)
+
+
 def draw_trial(config: ExperimentConfig, trial: int):
-    """The trial's channel and both targets, shared by every eta: (channel, f_com, w_com, f_rad)."""
+    """The trial's channel and SVD precoder pair: (channel, f_com, w_com)."""
     params = channel.ChannelParams(
         num_tx=config.n_tx, num_rx=config.n_rx, num_paths=config.n_paths,
         rng_seed=config.base_seed + trial,
@@ -189,27 +209,49 @@ def draw_trial(config: ExperimentConfig, trial: int):
     f_com, w_com = channel.optimal_digital_beamformers(
         realization.matrix, config.n_streams, config.total_power
     )
-    scene = ula.TargetScene(
-        tuple(math.radians(a) for a in config.target_angles_deg), config.n_tx
-    )
-    return realization, f_com, w_com, ula.radar_beamformer(scene, config.total_power)
+    return realization, f_com, w_com
 
 
-def design_trial(config: ExperimentConfig, eta: float, trial: int, draw=None) -> TrialDesign:
-    """Run the alternating design on the trial's draw, made here unless `draw` passes one."""
-    realization, f_com, w_com, f_rad = draw if draw is not None else draw_trial(config, trial)
-    alt_config = altmin.AltMinConfig(
+def _altmin_config(config: ExperimentConfig, eta: float, trial: int) -> altmin.AltMinConfig:
+    return altmin.AltMinConfig(
         eta=eta, total_power=config.total_power, tolerance=config.tolerance,
         max_iterations=config.max_iterations,
         rng_seed=config.base_seed + trial + ALTMIN_SEED_OFFSET,
     )
-    report = altmin.alternating_minimization(f_com, f_rad, config.n_rf, alt_config)
-    return TrialDesign(channel=realization, f_com=f_com, w_com=w_com, f_rad=f_rad, report=report)
+
+
+def sweep_draw(config: ExperimentConfig, trial: int, f_rad: np.ndarray) -> TrialDraw:
+    """The trial's draw with one stacked solve shared by every configured eta."""
+    realization, f_com, w_com = draw_trial(config, trial)
+    stack = altmin.EtaStack(f_com, f_rad, config.n_rf,
+                            [_altmin_config(config, eta, trial) for eta in config.eta_values])
+    return TrialDraw(realization, f_com, w_com, f_rad, stack)
+
+
+def design_trial(config: ExperimentConfig, eta: float, trial: int,
+                 draw: TrialDraw | None = None) -> TrialDesign:
+    """Run the alternating design for one eta of a trial.
+
+    `draw` passes what the trial's designs share; without it the trial is
+    drawn and the radar target built here.  A design is the same bit for bit
+    either way.
+    """
+    if draw is None:
+        draw = TrialDraw(*draw_trial(config, trial), radar_target(config))
+    report = altmin.alternating_minimization(
+        draw.f_com, draw.f_rad, config.n_rf, _altmin_config(config, eta, trial), draw.stack
+    )
+    return TrialDesign(channel=draw.channel, f_com=draw.f_com, w_com=draw.w_com,
+                       f_rad=draw.f_rad, report=report)
+
+
+def _pool_size(workers: int, tasks: int) -> int:
+    # the pool forks all its workers on the first submit, so never ask for idle ones
+    return min(workers, tasks, os.cpu_count() or 1)
 
 
 def _map_trials(worker, tasks, workers: int) -> list:
-    # the pool forks all its workers on the first submit, so never ask for idle ones
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    workers = _pool_size(workers, len(tasks))
     if workers <= 1:
         return [worker(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -218,16 +260,15 @@ def _map_trials(worker, tasks, workers: int) -> list:
 
 
 def _rate_trial(task) -> dict:
-    config, trial = task
+    config, trial, f_rad = task
     rates = []
     comm_errs = []
     radar_errs = []
     iterations = []
     converged = []
-    draw = None
-    for eta in config.eta_values:
-        try:
-            draw = draw or draw_trial(config, trial)
+    try:
+        draw = sweep_draw(config, trial, f_rad)
+        for eta in config.eta_values:
             design = design_trial(config, eta, trial, draw)
             hybrid = design.report.hybrid.materialize()
             comm, radar, _ = metrics.fitting_errors(
@@ -237,12 +278,13 @@ def _rate_trial(task) -> dict:
                 metrics.achievable_rate(design.channel.matrix, hybrid, design.w_com, snr)
                 for snr in config.snr_db_values
             ])
-        except (altmin.SolverError, np.linalg.LinAlgError) as exc:
-            raise altmin.SolverError(f"trial {trial} at eta={eta} failed: {exc}") from exc
-        comm_errs.append(comm)
-        radar_errs.append(radar)
-        iterations.append(design.report.iterations_used)
-        converged.append(design.report.converged)
+            comm_errs.append(comm)
+            radar_errs.append(radar)
+            iterations.append(design.report.iterations_used)
+            converged.append(design.report.converged)
+    except (altmin.SolverError, np.linalg.LinAlgError) as exc:
+        # the first design solves every eta of the trial; a solver error names its eta
+        raise altmin.SolverError(f"trial {trial} failed: {exc}") from exc
     return {"rates": rates, "comm": comm_errs, "radar": radar_errs,
             "iterations": iterations, "converged": converged}
 
@@ -258,7 +300,8 @@ def run_rate_sweep(config: ExperimentConfig, workers: int = 1):
     the across-trial mean and sample standard deviation of the rate plus mean
     fitting errors and iteration counts.
     """
-    tasks = [(config, trial) for trial in range(config.num_trials)]
+    f_rad = radar_target(config)
+    tasks = [(config, trial, f_rad) for trial in range(config.num_trials)]
     results = _map_trials(_rate_trial, tasks, workers)
     n = config.num_trials
     rates = np.array([r["rates"] for r in results])        # (trial, eta, snr)
@@ -288,9 +331,9 @@ def run_rate_sweep(config: ExperimentConfig, workers: int = 1):
 
 
 def _beampattern_trial(task) -> dict:
-    config, eta, trial = task
+    config, eta, trial, f_rad = task
     try:
-        design = design_trial(config, eta, trial)
+        design = design_trial(config, eta, trial, TrialDraw(*draw_trial(config, trial), f_rad))
     except (altmin.SolverError, np.linalg.LinAlgError) as exc:
         raise altmin.SolverError(f"trial {trial} at eta={eta} failed: {exc}") from exc
     covariance = ula.covariance_of(design.report.hybrid.materialize())
@@ -309,7 +352,8 @@ def run_beampattern(config: ExperimentConfig, eta: float,
     pattern.  Returns (columns, rows, header, info).
     """
     trials = range(config.num_trials) if average_trials else range(1)
-    tasks = [(config, eta, trial) for trial in trials]
+    f_rad = radar_target(config)
+    tasks = [(config, eta, trial, f_rad) for trial in trials]
     results = _map_trials(_beampattern_trial, tasks, workers)
     stacked = np.array([r["covariance"] for r in results])
     covariance = stacked.sum(axis=0) / len(results)
@@ -412,12 +456,15 @@ def main(argv=None) -> int:
 
         header = None
         if args.command == "rate-sweep":
+            trials = config.num_trials
             columns, rows, info = run_rate_sweep(config, workers=args.workers)
         elif args.command == "beampattern":
+            trials = config.num_trials if args.average_trials else 1
             columns, rows, header, info = run_beampattern(
                 config, eta, average_trials=args.average_trials, workers=args.workers
             )
         else:
+            trials = 1
             columns, rows, info = run_convergence(config, eta)
 
         write_csv(args.out, columns, rows, header)
@@ -425,7 +472,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "config": config.to_dict(),
             "eta": eta,
-            "workers": args.workers,
+            "workers": _pool_size(args.workers, trials),
             "altmin_seed_offset": ALTMIN_SEED_OFFSET,
             "wall_time_s": time.monotonic() - started,
             **info,

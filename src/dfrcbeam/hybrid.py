@@ -10,7 +10,6 @@ complex matrix over RF chains and streams.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,8 @@ import numpy as np
 from .ula import TWO_PI
 
 
-def _canonical_phases(phases: np.ndarray) -> np.ndarray:
+def canonical_phases(phases: np.ndarray) -> np.ndarray:
+    """Phases (any shape) wrapped into [0, 2pi)."""
     out = np.asarray(phases, dtype=float) % TWO_PI
     # fmod of a tiny negative can round up to the modulus itself
     out[out >= TWO_PI] = 0.0
@@ -45,7 +45,7 @@ class AnalogBeamformer:
                 f"num_antennas={self.num_antennas} is not divisible by "
                 f"num_rf_chains={self.num_rf_chains}"
             )
-        phases = _canonical_phases(self.phases)
+        phases = canonical_phases(self.phases)
         if phases.shape != (self.num_antennas,):
             raise ValueError(f"phases must have shape ({self.num_antennas},)")
         if not np.all(np.isfinite(phases)):
@@ -106,19 +106,24 @@ class HybridBeamformer:
         return materialize_product(self.analog, self.baseband.matrix)
 
 
-def materialize_product(analog: AnalogBeamformer, baseband: np.ndarray) -> np.ndarray:
+def materialize_product(analog, baseband) -> np.ndarray:
     """Dense product of the two stages without forming the analog matrix.
 
     Row i of the result is exp(j phases[i]) times the baseband row of the
-    chain feeding antenna i.
+    chain feeding antenna i.  `analog` may also be a stack of phase vectors,
+    shape (..., num_antennas), with `baseband` a stack of matching length,
+    shape (..., num_rf_chains, num_streams); the result is then the stack of
+    products.
     """
+    phases = np.asarray(getattr(analog, "phases", analog))
     baseband = np.asarray(baseband)
-    if baseband.shape[0] != analog.num_rf_chains:
-        raise ValueError(
-            f"baseband has {baseband.shape[0]} rows, expected {analog.num_rf_chains}"
-        )
-    rows = np.repeat(baseband, analog.block_size, axis=0)
-    return np.exp(1j * analog.phases)[:, None] * rows
+    num_rf = getattr(analog, "num_rf_chains", baseband.shape[-2])
+    if baseband.shape[-2] != num_rf:
+        raise ValueError(f"baseband has {baseband.shape[-2]} rows, expected {num_rf}")
+    if phases.shape[-1] % num_rf != 0:
+        raise ValueError(f"{phases.shape[-1]} antennas not divisible by {num_rf} RF chains")
+    rows = np.repeat(baseband, phases.shape[-1] // num_rf, axis=-2)
+    return np.exp(1j * phases)[..., None] * rows
 
 
 def normalize_power(
@@ -126,20 +131,29 @@ def normalize_power(
 ) -> BasebandBeamformer:
     """Rescale the baseband stage so the hybrid product carries `total_power`.
 
-    Each analog row has unit modulus and each baseband row is repeated
-    num_antennas / num_rf_chains times in the product, so
-    ||product||_F^2 = (num_antennas / num_rf_chains) * ||baseband||_F^2 and the
-    power constraint becomes ||baseband||_F^2 = num_rf_chains * total_power / num_antennas.
+    See `scale_to_power`, which does the rescaling.
     """
     if num_antennas < 1 or num_rf_chains < 1 or num_antennas % num_rf_chains != 0:
         raise ValueError("num_antennas must be a positive multiple of num_rf_chains")
     if not total_power > 0:
         raise ValueError("total_power must be positive")
-    norm_sq = float(np.sum(np.abs(bb.matrix) ** 2))
-    if norm_sq == 0.0:
+    return BasebandBeamformer(scale_to_power(bb.matrix, num_antennas, num_rf_chains, total_power))
+
+
+def scale_to_power(matrices: np.ndarray, num_antennas: int, num_rf_chains: int,
+                   total_power: float) -> np.ndarray:
+    """Rescale each baseband matrix of a stack (last two axes) onto its power sphere.
+
+    Each analog row has unit modulus and each baseband row is repeated
+    num_antennas / num_rf_chains times in the product, so
+    ||product||_F^2 = (num_antennas / num_rf_chains) * ||baseband||_F^2 and the
+    power constraint becomes ||baseband||_F^2 = num_rf_chains * total_power / num_antennas.
+    """
+    norm_sq = (np.abs(matrices) ** 2).sum(axis=(-2, -1))
+    if (norm_sq == 0.0).any():
         raise ValueError("cannot power-normalize a zero baseband matrix")
     target = num_rf_chains * total_power / num_antennas
-    return BasebandBeamformer(bb.matrix * math.sqrt(target / norm_sq))
+    return matrices * np.sqrt(target / norm_sq)[..., None, None]
 
 
 def hybrid_to_json(hb: HybridBeamformer) -> str:

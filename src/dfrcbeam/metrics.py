@@ -36,24 +36,33 @@ def achievable_rate(h, f, w, snr_db: float) -> float:
     return float(np.sum(np.log2(1.0 + (snr / num_streams) * eigs)))
 
 
-def fitting_errors(f_hybrid, f_com, f_rad_u, eta: float):
+def fitting_errors(f_hybrid, f_com, f_rad_u, eta):
     """Squared Frobenius distances to both targets and their eta-weighted sum.
 
-    Returns (comm_err, radar_err, weighted).
+    Returns (comm_err, radar_err, weighted).  The arguments may also be stacks
+    of matrices over leading axes that broadcast together, with `eta` an
+    array over the stack; the three results are then arrays over the stack,
+    each entry equal to the 2-D result of its member.
     """
     f_hybrid = np.asarray(f_hybrid)
     f_com = np.asarray(f_com)
     f_rad_u = np.asarray(f_rad_u)
-    if not f_hybrid.shape == f_com.shape == f_rad_u.shape:
+    if f_hybrid.ndim < 2 or not f_hybrid.shape[-2:] == f_com.shape[-2:] == f_rad_u.shape[-2:]:
         raise ValueError(
             f"shape mismatch: hybrid {f_hybrid.shape}, communication target "
             f"{f_com.shape}, radar target {f_rad_u.shape}"
         )
-    d_com = f_hybrid - f_com
-    d_rad = f_hybrid - f_rad_u
-    comm_err = float(np.vdot(d_com, d_com).real)
-    radar_err = float(np.vdot(d_rad, d_rad).real)
+    comm_err = _squared_norms(f_hybrid - f_com)
+    radar_err = _squared_norms(f_hybrid - f_rad_u)
+    if comm_err.ndim == 0:
+        comm_err, radar_err = float(comm_err), float(radar_err)
     return comm_err, radar_err, eta * comm_err + (1.0 - eta) * radar_err
+
+
+def _squared_norms(d: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a stack (last two axes)."""
+    parts = np.asarray(d, dtype=complex).view(np.float64)  # real and imaginary parts
+    return np.square(parts).sum(axis=(-2, -1))
 
 
 def peak_deviation(pattern, targets) -> list[float]:

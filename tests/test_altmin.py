@@ -6,8 +6,10 @@ import pytest
 from dfrcbeam.altmin import (
     AltMinConfig,
     AuxiliaryUnitary,
+    EtaStack,
     SolverError,
     alternating_minimization,
+    alternating_minimization_batch,
     objective,
     random_start,
     solve_analog,
@@ -482,3 +484,65 @@ def test_paper_scale_run_converges():
     report = alternating_minimization(f_com, f_rad, 24, config)
     assert report.converged
     assert report.iterations_used <= 100
+
+
+def assert_same_report(actual, expected):
+    assert np.array_equal(actual.hybrid.analog.phases, expected.hybrid.analog.phases)
+    assert np.array_equal(actual.hybrid.baseband.matrix, expected.hybrid.baseband.matrix)
+    assert np.array_equal(actual.unitary.matrix, expected.unitary.matrix)
+    assert actual.objective_trace == expected.objective_trace
+    assert actual.iterations_used == expected.iterations_used
+    assert actual.converged == expected.converged
+
+
+def test_batch_members_report_as_their_one_member_runs():
+    f_com, f_rad = toy_problem(70)
+    configs = [AltMinConfig(eta=eta, total_power=3.0, tolerance=1e-6, max_iterations=20,
+                            rng_seed=8) for eta in (0.0, 0.3, 0.6, 0.9, 1.0)]
+    reports = alternating_minimization_batch(f_com, f_rad, 4, configs)
+    # members leave at 2, 18 and 20 iterations; two run out of iterations and
+    # the last converges on its final allowed one
+    assert [(r.iterations_used, r.converged) for r in reports] == [
+        (2, True), (20, False), (20, False), (18, True), (20, True)]
+    for config, report in zip(configs, reports):
+        assert_same_report(report, alternating_minimization(f_com, f_rad, 4, config))
+
+
+def test_batch_rejects_configs_that_differ_beyond_eta():
+    f_com, f_rad = toy_problem(71)
+    base = AltMinConfig(eta=0.5, total_power=3.0, rng_seed=1)
+    with pytest.raises(ValueError, match="only in eta"):
+        alternating_minimization_batch(f_com, f_rad, 4, [base, AltMinConfig(
+            eta=0.7, total_power=3.0, rng_seed=2)])
+    with pytest.raises(ValueError):
+        alternating_minimization_batch(f_com, f_rad, 4, [])
+
+
+def test_batch_names_the_eta_of_a_non_finite_member():
+    f_com, f_rad = toy_problem(72)
+    # finite, but eta * f_com overflows the baseband target unless eta = 0
+    huge = np.full_like(f_com, 1e308)
+    configs = [AltMinConfig(eta=eta, total_power=3.0, rng_seed=1) for eta in (0.0, 0.8)]
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match=r"eta=0\.8"):
+        alternating_minimization_batch(huge, f_rad, 4, configs)
+
+
+def test_eta_stack_solves_once_for_all_its_designs(monkeypatch):
+    import dfrcbeam.altmin as altmin_module
+    calls = []
+    original = altmin_module.alternating_minimization_batch
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    f_com, f_rad = toy_problem(73)
+    configs = [AltMinConfig(eta=eta, total_power=3.0, rng_seed=3) for eta in (0.2, 0.6, 1.0)]
+    alone = [alternating_minimization(f_com, f_rad, 4, config) for config in configs]
+    monkeypatch.setattr(altmin_module, "alternating_minimization_batch", counted)
+    stack = EtaStack(f_com, f_rad, 4, configs)
+    for config, expected in zip(reversed(configs), reversed(alone)):
+        assert_same_report(alternating_minimization(f_com, f_rad, 4, config, stack), expected)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="different problem"):
+        alternating_minimization(f_com.copy(), f_rad, 4, configs[0], stack)

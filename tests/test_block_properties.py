@@ -1,0 +1,130 @@
+"""Property tests of the stacked block updates in `altmin`.
+
+Each update is run on stacks of one and of several problems that share their
+targets and differ in `eta`, as in the alternating loop.  For every member it
+must not raise the objective, must keep the power exact and the phases
+canonical, and must give bit for bit what a stack holding that member alone
+gives.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dfrcbeam import altmin, metrics
+from dfrcbeam.hybrid import materialize_product, scale_to_power
+from dfrcbeam.ula import TWO_PI
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def crandn(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
+
+
+@dataclass
+class Stack:
+    f_com: np.ndarray        # (N, S)
+    f_rad: np.ndarray        # (N, T)
+    eta: np.ndarray          # (B,)
+    phases: np.ndarray       # (B, N)
+    basebands: np.ndarray    # (B, R, S), each on its power sphere
+    unitaries: np.ndarray    # (B, T, S), rows orthonormal
+    total_power: float
+
+    @property
+    def num_rf(self) -> int:
+        return self.basebands.shape[1]
+
+    def objective(self, phases=None, basebands=None, unitaries=None) -> np.ndarray:
+        phases = self.phases if phases is None else phases
+        basebands = self.basebands if basebands is None else basebands
+        unitaries = self.unitaries if unitaries is None else unitaries
+        product = materialize_product(phases, basebands)
+        return metrics.fitting_errors(product, self.f_com, self.f_rad @ unitaries, self.eta)[2]
+
+    def mixed(self) -> np.ndarray:
+        return altmin._mix(self.f_com, self.f_rad @ self.unitaries, self.eta)
+
+
+@st.composite
+def stacks(draw, sizes):
+    num_rf = draw(st.integers(1, 4))
+    block = draw(st.integers(1, 4))
+    num_streams = draw(st.integers(1, 4))
+    num_targets = draw(st.integers(1, num_streams))
+    size = draw(sizes)
+    eta = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    total_power = draw(st.floats(0.1, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_antennas = num_rf * block
+    basis, _ = np.linalg.qr(crandn(rng, (size, num_streams, num_targets)))
+    return Stack(
+        f_com=crandn(rng, (num_antennas, num_streams)),
+        f_rad=crandn(rng, (num_antennas, num_targets)),
+        eta=np.array(eta),
+        phases=rng.uniform(0.0, TWO_PI, (size, num_antennas)),
+        basebands=scale_to_power(crandn(rng, (size, num_rf, num_streams)),
+                                 num_antennas, num_rf, total_power),
+        unitaries=basis.conj().swapaxes(-1, -2),
+        total_power=total_power,
+    )
+
+
+STACK_SIZES = {"one": st.just(1), "several": st.integers(2, 5)}
+
+
+def assert_not_raised(before, after):
+    assert np.all(after <= before + 1e-9 * (1.0 + before)), (before, after)
+
+
+def assert_matches_stacks_of_one(stacked, solve_one):
+    for i in range(len(stacked)):
+        assert np.array_equal(stacked[i], solve_one(i)[0])
+
+
+def check_unitary_step(p: Stack):
+    products = materialize_product(p.phases, p.basebands)
+    unitaries = altmin._unitary_step(p.f_rad, products)
+    altmin._check_orthonormal_rows(unitaries)
+    assert_not_raised(p.objective(), p.objective(unitaries=unitaries))
+    assert_matches_stacks_of_one(
+        unitaries, lambda i: altmin._unitary_step(p.f_rad, products[i:i + 1]))
+
+
+def check_analog_step(p: Stack):
+    mixed = p.mixed()
+    phases = altmin._analog_step(p.basebands, mixed, p.phases)
+    assert np.all((0.0 <= phases) & (phases < TWO_PI))
+    assert_not_raised(p.objective(), p.objective(phases=phases))
+    assert_matches_stacks_of_one(
+        phases, lambda i: altmin._analog_step(p.basebands[i:i + 1], mixed[i:i + 1],
+                                              p.phases[i:i + 1]))
+
+
+def check_baseband_step(p: Stack):
+    mixed = p.mixed()
+    num_antennas = p.phases.shape[1]
+    basebands = altmin._baseband_step(p.phases, mixed, p.num_rf, p.total_power, p.eta)
+    sphere = p.num_rf * p.total_power / num_antennas
+    baseband_power = np.sum(np.abs(basebands) ** 2, axis=(1, 2))
+    np.testing.assert_allclose(baseband_power, sphere, rtol=1e-12)
+    product_power = np.sum(np.abs(materialize_product(p.phases, basebands)) ** 2, axis=(1, 2))
+    np.testing.assert_allclose(product_power, p.total_power, rtol=1e-12)
+    assert_not_raised(p.objective(), p.objective(basebands=basebands))
+    assert_matches_stacks_of_one(
+        basebands, lambda i: altmin._baseband_step(p.phases[i:i + 1], mixed[i:i + 1],
+                                                   p.num_rf, p.total_power, p.eta[i:i + 1]))
+
+
+@pytest.mark.parametrize("size", ["one", "several"])
+@pytest.mark.parametrize("check", [check_unitary_step, check_analog_step, check_baseband_step],
+                         ids=["unitary", "analog", "baseband"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_block_update_properties(check, size, data):
+    check(data.draw(stacks(STACK_SIZES[size])))

@@ -11,14 +11,17 @@ from dfrcbeam.cli import (
     ALTMIN_SEED_OFFSET,
     ConfigError,
     ExperimentConfig,
+    TrialDraw,
     config_from_dict,
     design_trial,
     draw_trial,
     load_config,
     main,
+    radar_target,
     run_beampattern,
     run_convergence,
     run_rate_sweep,
+    sweep_draw,
     write_csv,
 )
 
@@ -199,15 +202,70 @@ def test_rate_sweep_draws_each_trial_once_for_all_etas(monkeypatch):
     counted(ula, "radar_beamformer")
     run_rate_sweep(toy_config(num_trials=3, eta_values=[0.2, 0.5, 0.8, 1.0]))
     assert calls == {"generate_channel": 3, "optimal_digital_beamformers": 3,
-                     "radar_beamformer": 3}
+                     "radar_beamformer": 1}
 
 
 def test_design_trial_on_a_given_draw_matches_its_own_draw():
     config = toy_config()
-    shared = design_trial(config, 0.3, 2, draw_trial(config, 2))
+    shared = design_trial(config, 0.3, 2, TrialDraw(*draw_trial(config, 2), radar_target(config)))
     own = design_trial(config, 0.3, 2)
     assert shared.report.objective_trace == own.report.objective_trace
     np.testing.assert_array_equal(shared.channel.matrix, own.channel.matrix)
+
+
+def assert_same_report(actual, expected):
+    assert np.array_equal(actual.hybrid.analog.phases, expected.hybrid.analog.phases)
+    assert np.array_equal(actual.hybrid.baseband.matrix, expected.hybrid.baseband.matrix)
+    assert np.array_equal(actual.unitary.matrix, expected.unitary.matrix)
+    assert actual.objective_trace == expected.objective_trace
+    assert actual.iterations_used == expected.iterations_used
+    assert actual.converged == expected.converged
+
+
+def test_rate_sweep_designs_equal_design_trial_bit_for_bit():
+    config = toy_config(eta_values=[0.0, 0.3, 0.55, 0.8, 1.0], num_trials=3,
+                        snr_db_values=[0.0])
+    f_rad = radar_target(config)
+    iterations = []
+    for trial in range(config.num_trials):
+        draw = sweep_draw(config, trial, f_rad)
+        reports = [design_trial(config, eta, trial, draw).report for eta in config.eta_values]
+        assert len({r.iterations_used for r in reports}) > 1
+        for eta, report in zip(config.eta_values, reports):
+            assert_same_report(report, design_trial(config, eta, trial).report)
+        iterations.append([r.iterations_used for r in reports])
+    _, rows, _ = run_rate_sweep(config)
+    assert [row[6] for row in rows] == list(np.mean(iterations, axis=0))
+
+
+def test_rate_sweep_solves_each_trial_as_one_stack(monkeypatch):
+    stacks = []
+    original = altmin.alternating_minimization_batch
+
+    def recorded(f_com, f_rad, num_rf_chains, configs):
+        stacks.append([c.eta for c in configs])
+        return original(f_com, f_rad, num_rf_chains, configs)
+
+    monkeypatch.setattr(altmin, "alternating_minimization_batch", recorded)
+    run_rate_sweep(toy_config(num_trials=3, eta_values=[0.2, 0.5, 0.8, 1.0]))
+    assert stacks == [[0.2, 0.5, 0.8, 1.0]] * 3
+
+
+def test_rate_sweep_names_trial_and_eta_of_a_non_finite_member(monkeypatch):
+    import dfrcbeam.cli as cli_module
+    original = cli_module.draw_trial
+
+    def overflowing(cfg, trial):
+        realization, f_com, w_com = original(cfg, trial)
+        if trial == 1:
+            # finite, but eta * f_com overflows the baseband target unless eta = 0
+            f_com = np.full_like(f_com, 1e308)
+        return realization, f_com, w_com
+
+    monkeypatch.setattr(cli_module, "draw_trial", overflowing)
+    with np.errstate(all="ignore"), pytest.raises(altmin.SolverError,
+                                                  match=r"trial 1 .*eta=0\.8"):
+        run_rate_sweep(toy_config(num_trials=2, eta_values=[0.0, 0.8]))
 
 
 class RecordingPool:
@@ -243,6 +301,23 @@ def test_map_trials_bounds_the_pool(monkeypatch, workers, tasks, cpus, expected)
     results = cli_module._map_trials(lambda x: x * x, list(range(tasks)), workers)
     assert results == [x * x for x in range(tasks)]
     assert RecordingPool.sizes == expected
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["beampattern", "--eta", "0.4"], 1),       # one task: in-process
+    (["rate-sweep"], 4),                         # 5 trials on 4 cores
+    (["convergence", "--eta", "0.4"], 1),        # never uses the pool
+])
+def test_sidecar_records_the_workers_used(tmp_path, monkeypatch, args, expected):
+    import dfrcbeam.cli as cli_module
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 4)
+    out = tmp_path / "x.csv"
+    config_path = write_toy_config(tmp_path)
+    assert main([*args, "--workers", "8", "--config", str(config_path), "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "x.csv.meta.json").read_text())["workers"] == expected
+    assert RecordingPool.sizes == ([expected] if expected > 1 else [])
 
 
 def test_beampattern_row_count_matches_grid():
