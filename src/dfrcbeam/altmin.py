@@ -311,6 +311,18 @@ def _baseband_step(phases: np.ndarray, mixed: np.ndarray, num_rf: int,
     return scale_to_power(g, num_antennas, num_rf, total_power)
 
 
+def _check_finite_objective(values: np.ndarray, eta: np.ndarray) -> None:
+    """Raise `SolverError` naming every member whose objective is not finite.
+
+    Such a member could never meet its tolerance, so it would otherwise run to
+    `max_iterations` and report a NaN or infinite trace.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        failing = ", ".join(f"eta={e}" for e in eta[~finite])
+        raise SolverError(f"non-finite objective at {failing}")
+
+
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
 
@@ -419,6 +431,7 @@ def alternating_minimization_batch(f_com, f_rad, num_rf_chains: int,
     products = materialize_product(phases, basebands)
     traces = np.empty((first.max_iterations + 1, count))  # column j: stack entry j
     traces[0] = metrics.fitting_errors(products, f_com, f_rad @ unitaries, eta)[2]
+    _check_finite_objective(traces[0], eta)
     thresholds = first.tolerance * (1.0 + traces[0])
     members = np.arange(count)  # index into `configs` of each stack entry
     reports: list[AltMinReport | None] = [None] * count
@@ -431,6 +444,7 @@ def alternating_minimization_batch(f_com, f_rad, num_rf_chains: int,
         basebands = _baseband_step(phases, mixed, num_rf_chains, first.total_power, eta)
         products = materialize_product(phases, basebands)
         traces[step] = metrics.fitting_errors(products, f_com, f_rad_u, eta)[2]
+        _check_finite_objective(traces[step], eta)
         converged = np.abs(traces[step] - traces[step - 1]) < thresholds
         leaving = converged if step < first.max_iterations else np.ones(len(members), bool)
         if not leaving.any():

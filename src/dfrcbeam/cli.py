@@ -403,6 +403,24 @@ def write_csv(path, columns, rows, header_meta: dict | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="")
 
 
+def _numeric_environment() -> dict:
+    """What decides the CSV's last digits: numpy, its BLAS, the BLAS thread
+    settings and the core count.  BLAS name and version are None where numpy
+    cannot report them as data (before numpy 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "thread_env": {name: os.environ.get(name) for name in
+                       ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def write_metadata(path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                           encoding="ascii", newline="")
@@ -475,6 +493,7 @@ def main(argv=None) -> int:
             "workers": _pool_size(args.workers, trials),
             "altmin_seed_offset": ALTMIN_SEED_OFFSET,
             "wall_time_s": time.monotonic() - started,
+            "numeric_environment": _numeric_environment(),
             **info,
         }
         write_metadata(f"{args.out}.meta.json", meta)

@@ -527,6 +527,45 @@ def test_batch_names_the_eta_of_a_non_finite_member():
         alternating_minimization_batch(huge, f_rad, 4, configs)
 
 
+def counting_fitting_errors(monkeypatch, spoil_at=None):
+    """Count the objective evaluations; the `spoil_at`-th makes member 1's NaN."""
+    import dfrcbeam.metrics as metrics_module
+    original = metrics_module.fitting_errors
+    calls = []
+
+    def counted(*args):
+        comm, radar, weighted = original(*args)
+        calls.append(1)
+        if len(calls) == spoil_at:
+            weighted = weighted.copy()
+            weighted[1] = math.nan
+        return comm, radar, weighted
+
+    monkeypatch.setattr(metrics_module, "fitting_errors", counted)
+    return calls
+
+
+def test_batch_rejects_a_non_finite_objective_at_the_start(monkeypatch):
+    f_com, f_rad = toy_problem(72)
+    # at eta = 0 the solve is finite, but the weighted error forms 0 * inf
+    f_com[0, 0] = 1e308
+    config = AltMinConfig(eta=0.0, total_power=3.0, max_iterations=30)
+    calls = counting_fitting_errors(monkeypatch)
+    with np.errstate(all="ignore"), pytest.raises(SolverError,
+                                                  match=r"non-finite objective at eta=0\.0"):
+        alternating_minimization_batch(f_com, f_rad, 4, [config])
+    assert len(calls) == 1  # before the first iteration
+
+
+def test_batch_rejects_a_non_finite_objective_at_a_later_iteration(monkeypatch):
+    f_com, f_rad = toy_problem(74)
+    configs = [AltMinConfig(eta=eta, total_power=3.0, rng_seed=2) for eta in (0.3, 0.6, 0.9)]
+    calls = counting_fitting_errors(monkeypatch, spoil_at=3)  # after iteration 2
+    with pytest.raises(SolverError, match=r"non-finite objective at eta=0\.6$"):
+        alternating_minimization_batch(f_com, f_rad, 4, configs)
+    assert len(calls) == 3
+
+
 def test_eta_stack_solves_once_for_all_its_designs(monkeypatch):
     import dfrcbeam.altmin as altmin_module
     calls = []

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -418,6 +419,32 @@ def test_cli_end_to_end_rate_sweep(tmp_path):
     assert meta["config"]["n_tx"] == 12
     assert meta["total_runs"] == 10
     assert meta["wall_time_s"] >= 0.0
+
+
+def test_sidecar_records_the_numeric_environment(tmp_path):
+    config_path = write_toy_config(tmp_path)
+    out = tmp_path / "trace.csv"
+    env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    result = subprocess.run(
+        [sys.executable, "-m", "dfrcbeam.cli", "convergence", "--config", str(config_path),
+         "--eta", "0.5", "--out", str(out)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    numeric = json.loads((tmp_path / "trace.csv.meta.json").read_text())["numeric_environment"]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26
+        blas = {"name": None, "version": None}
+    assert numeric == {
+        "numpy": np.__version__,
+        "blas_name": blas["name"],
+        "blas_version": blas["version"],
+        "thread_env": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                       "MKL_NUM_THREADS": None},
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def test_cli_seed_override_changes_bytes(tmp_path):

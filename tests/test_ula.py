@@ -195,6 +195,42 @@ def test_beampattern_invariant_under_semi_unitary():
     assert np.max(np.abs(before - after)) <= 1e-9
 
 
+def entrywise_beampattern(cov, spacing, thetas):
+    # independent oracle: the double sum conj(a_n) R_nm a_m over scalar entries
+    num = cov.shape[0]
+    gains = []
+    for theta in thetas:
+        steer = [scalar_steering_entry(n, num, spacing, theta) for n in range(num)]
+        total = 0j
+        for n in range(num):
+            for m in range(num):
+                total += steer[n].conjugate() * cov[n, m] * steer[m]
+        gains.append(total.real)
+    return np.array(gains)
+
+
+@pytest.mark.parametrize("num", [1, 2, 7, 16, 120])
+@pytest.mark.parametrize("spacing", [0.5, 0.3])
+def test_beampattern_matches_entrywise_oracle(num, spacing):
+    rng = np.random.default_rng(1000 * num + int(10 * spacing))
+    f = rng.standard_normal((num, 3)) + 1j * rng.standard_normal((num, 3))
+    cov = covariance_of(f)
+    thetas = np.concatenate([[-math.pi / 2, 0.0, math.pi / 2], rng.uniform(-1.5, 1.5, 7)])
+    gains = beampattern(cov, UlaConfig(num, spacing), thetas)
+    expected = entrywise_beampattern(cov, spacing, thetas)
+    assert np.max(np.abs(gains - expected)) <= 1e-12 * np.trace(cov).real
+
+
+@pytest.mark.parametrize("thetas", [0.3, np.full((2, 3), 0.3), [0.3, -0.2, 1.0]],
+                         ids=["0-d", "2-d", "list"])
+def test_beampattern_returns_one_real_gain_per_angle(thetas):
+    rng = np.random.default_rng(25)
+    f = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    gains = beampattern(covariance_of(f), UlaConfig(5), thetas)
+    assert gains.dtype == np.float64
+    assert gains.shape == (np.size(thetas),)
+
+
 def test_covariance_of_trivial_inputs():
     assert np.all(covariance_of(np.zeros((4, 2))) == 0)
     np.testing.assert_allclose(covariance_of(np.eye(5)), np.eye(5), rtol=0, atol=0)
