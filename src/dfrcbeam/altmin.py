@@ -19,6 +19,18 @@ Every block solve is a per-antenna or per-chain array operation, so each is
 implemented once on a stack of problems; `alternating_minimization_batch`
 cycles a stack that differs only in `eta`, and the single design and the
 public 2-D solves are its one-member case.
+
+The loop never forms the N x S hybrid product or a mixed target.  The analog
+stage has unit-modulus entries on disjoint blocks, so F_RF^H F_RF is a
+multiple of the identity and everything the blocks need is a per-chain block
+sum: row r of G_com (G_rad) sums e^{-j phi_i} f_com,i (f_rad,i) over the
+antennas of chain r.  With c the baseband power:
+
+* the unitary step takes the SVD of f_rad^H F = G_rad^H F_BB (T x S);
+* the baseband step is sqrt(c) G / ||G||_F with G = eta G_com + (1-eta) G_rad U;
+* the objective after it is P + eta ||f_com||^2 + (1-eta) ||f_rad||^2
+  - 2 sqrt(c) ||G||_F, because the power ||F||^2 = P is exact and U has
+  orthonormal rows.
 """
 
 from __future__ import annotations
@@ -129,7 +141,9 @@ def solve_unitary(f_rad, product) -> AuxiliaryUnitary:
 
     With the singular value decomposition u s vh of f_rad^H product, the
     minimizer is u @ vh.  A zero product matrix is fine: every semi-unitary is
-    then optimal and the SVD basis picks one deterministically.
+    then optimal and the SVD basis picks one deterministically.  This is the
+    loop's step with one antenna per chain and unit phasors, where the block
+    sums are the rows of f_rad and the baseband is the product itself.
     """
     f_rad = np.asarray(f_rad)
     product = np.asarray(product)
@@ -137,19 +151,29 @@ def solve_unitary(f_rad, product) -> AuxiliaryUnitary:
         raise ValueError("f_rad and product must have the same number of rows")
     if f_rad.shape[1] > product.shape[1]:
         raise ValueError("need at least as many streams as radar targets")
-    return AuxiliaryUnitary(_unitary_step(f_rad, product[None])[0])
+    return AuxiliaryUnitary(_unitary_step(f_rad[None], product[None])[0])
 
 
-def _unitary_step(f_rad: np.ndarray, products: np.ndarray) -> np.ndarray:
-    """`solve_unitary` for a stack of products (B, N, S): the (B, T, S) minimizers."""
-    u, _, vh = np.linalg.svd(f_rad.conj().T @ products, full_matrices=False)
+def _unitary_step(g_rad: np.ndarray, basebands: np.ndarray) -> np.ndarray:
+    """`solve_unitary` for a stack: radar block sums (B, R, T) and basebands
+    (B, R, S), whose product G_rad^H F_BB is f_rad^H F; returns the (B, T, S)
+    minimizers."""
+    u, _, vh = np.linalg.svd(g_rad.conj().swapaxes(-1, -2) @ basebands, full_matrices=False)
     return u @ vh
 
 
-def _mix(f_com: np.ndarray, f_rad_u: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Mixed targets eta f_com + (1 - eta) f_rad_u, one per entry of `eta`."""
-    weight = eta[:, None, None]
-    return weight * f_com + (1.0 - weight) * f_rad_u
+def _chain_targets(f_com: np.ndarray, f_rad: np.ndarray, num_rf: int) -> np.ndarray:
+    """[f_com | f_rad] cut into the antenna blocks of the chains: (R, N / R, S + T)."""
+    both = np.concatenate([f_com, f_rad], axis=1)
+    return both.reshape(num_rf, -1, both.shape[1])
+
+
+def _block_sums(phasors: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-chain sums of phasors (B, N) times the target rows of `_chain_targets`,
+    one stacked matmul; returns (B, R, S + T), whose first S columns are G_com
+    and the rest G_rad."""
+    num_rf, block, width = targets.shape
+    return (phasors.reshape(-1, num_rf, 1, block) @ targets).reshape(-1, num_rf, width)
 
 
 def solve_analog(baseband, f_com, f_rad_u, eta: float,
@@ -161,32 +185,41 @@ def solve_analog(baseband, f_com, f_rad_u, eta: float,
     chain and t_i mixes the two target rows with weights eta and 1 - eta.
     The minimizing phase is the argument of <t_i, b_i>.  When that inner
     product is zero every phase is optimal, so the previous phase (or zero)
-    is kept to preserve determinism and descent.
+    is kept to preserve determinism and descent.  The rotated radar target
+    f_rad_u plays the loop's f_rad with an identity auxiliary.
     """
     baseband = _as_matrix(baseband)
     f_com = np.asarray(f_com)
     f_rad_u = np.asarray(f_rad_u)
     if f_com.shape != f_rad_u.shape:
         raise ValueError("f_com and the rotated radar target must have equal shapes")
-    num_antennas = f_com.shape[0]
+    num_antennas, num_streams = f_com.shape
     num_rf = baseband.shape[0]
-    if baseband.shape[1] != f_com.shape[1]:
+    if baseband.shape[1] != num_streams:
         raise ValueError("baseband and targets disagree on the stream count")
     if num_antennas % num_rf != 0:
         raise ValueError(f"{num_antennas} antennas not divisible by {num_rf} RF chains")
     fallback = previous.phases if previous is not None else np.zeros(num_antennas)
-    mixed = _mix(f_com, f_rad_u, np.array([eta], dtype=float))
-    phases = _analog_step(baseband[None], mixed, fallback[None])[0]
+    identity = np.eye(num_streams, dtype=complex)[None]
+    phases = _analog_step(_chain_targets(f_com, f_rad_u, num_rf), baseband[None], identity,
+                          np.array([eta], dtype=float), fallback[None])[0]
     return AnalogBeamformer(num_antennas, num_rf, phases)
 
 
-def _analog_step(basebands: np.ndarray, mixed: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """`solve_analog` for a stack: basebands (B, R, S), mixed targets (B, N, S)
-    and the phases (B, N) kept where the correlation is zero; returns the
-    canonical (B, N) phases."""
-    count, num_rf, num_streams = basebands.shape
-    blocks = mixed.reshape(count, num_rf, -1, num_streams)
-    corr = np.einsum("brak,brk->bra", blocks, basebands.conj()).reshape(count, -1)
+def _analog_step(targets: np.ndarray, basebands: np.ndarray, unitaries: np.ndarray,
+                 eta: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """`solve_analog` for a stack: chain targets (R, L, S + T), basebands
+    (B, R, S), unitaries (B, T, S), weights (B,) and the phases (B, N) kept
+    where the correlation is zero; returns the canonical (B, N) phases.
+
+    <t_i, b_c> = eta <f_com,i, b_c> + (1 - eta) <f_rad,i, b_c U^H>, so each
+    antenna correlates its target row with one (S + T)-vector of its chain.
+    """
+    weight = eta[:, None, None]
+    conj = basebands.conj()
+    chain_vectors = np.concatenate(
+        [weight * conj, (1.0 - weight) * (conj @ unitaries.swapaxes(-1, -2))], axis=2)
+    corr = (targets @ chain_vectors[..., None]).reshape(len(eta), -1)
     phases = np.arctan2(corr.imag, corr.real)
     degenerate = corr == 0
     if degenerate.any():
@@ -285,30 +318,61 @@ def solve_baseband(analog: AnalogBeamformer, f_com, f_rad_u, eta: float,
     entries, so the Gram matrix is block_size * I and the optimum is G scaled
     onto the sphere.  Row r of G sums e^{-j phi_i} m_i over the antennas of
     chain r.  When G is zero every point of the sphere is optimal, and the
-    first entry is picked.
+    first entry is picked.  The rotated radar target f_rad_u plays the loop's
+    f_rad with an identity auxiliary.
     """
-    eta_stack = np.array([eta], dtype=float)
-    mixed = _mix(np.asarray(f_com), np.asarray(f_rad_u), eta_stack)
-    if mixed.shape[1] != analog.num_antennas:
-        raise ValueError(f"targets have {mixed.shape[1]} rows, expected {analog.num_antennas}")
-    return BasebandBeamformer(_baseband_step(analog.phases[None], mixed, analog.num_rf_chains,
-                                             total_power, eta_stack)[0])
+    f_com = np.asarray(f_com)
+    f_rad_u = np.asarray(f_rad_u)
+    if f_com.shape != f_rad_u.shape:
+        raise ValueError("f_com and the rotated radar target must have equal shapes")
+    if f_com.shape[0] != analog.num_antennas:
+        raise ValueError(f"targets have {f_com.shape[0]} rows, expected {analog.num_antennas}")
+    targets = _chain_targets(f_com, f_rad_u, analog.num_rf_chains)
+    sums = _block_sums(np.exp(-1j * analog.phases)[None], targets)
+    identity = np.eye(f_com.shape[1], dtype=complex)[None]
+    basebands, _ = _baseband_step(sums, identity, np.array([eta], dtype=float),
+                                  analog.num_antennas, total_power)
+    return BasebandBeamformer(basebands[0])
 
 
-def _baseband_step(phases: np.ndarray, mixed: np.ndarray, num_rf: int,
-                   total_power: float, eta: np.ndarray) -> np.ndarray:
-    """`solve_baseband` for a stack: phases (B, N), mixed targets (B, N, S);
-    returns the (B, R, S) basebands.  `eta` names the failing member in errors."""
-    count, num_antennas, num_streams = mixed.shape
-    rotated = np.exp(-1j * phases)[..., None] * mixed
-    g = rotated.reshape(count, num_rf, -1, num_streams).sum(axis=2)
+def _baseband_step(sums: np.ndarray, unitaries: np.ndarray, eta: np.ndarray,
+                   num_antennas: int, total_power: float):
+    """`solve_baseband` for a stack: block sums (B, R, S + T) of the new phases,
+    unitaries (B, T, S) and weights (B,); returns the (B, R, S) basebands and
+    ||G||_F per member, taken before the zero-target fallback.  `eta` names
+    the failing member in errors."""
+    num_streams = unitaries.shape[-1]
+    weight = eta[:, None, None]
+    g = weight * sums[..., :num_streams] + (1.0 - weight) * (sums[..., num_streams:] @ unitaries)
     if not np.isfinite(g).all():
         failing = eta[~np.isfinite(g).all(axis=(1, 2))][0]
         raise SolverError(f"non-finite entries in the baseband target at eta={failing}")
-    nonzero = g.any(axis=(1, 2))
+    norm_sq = np.square(g.view(np.float64)).sum(axis=(1, 2))
+    nonzero = norm_sq > 0
     if not nonzero.all():
         g[~nonzero, 0, 0] = 1.0
-    return scale_to_power(g, num_antennas, num_rf, total_power)
+    return scale_to_power(g, num_antennas, g.shape[1], total_power), np.sqrt(norm_sq)
+
+
+def _objective_offsets(targets: np.ndarray, num_streams: int, eta: np.ndarray,
+                       total_power: float) -> np.ndarray:
+    """P + eta ||f_com||^2 + (1 - eta) ||f_rad||^2 per member: the part of the
+    objective that no block changes (chain targets as from `_chain_targets`)."""
+    parts = np.square(targets.view(np.float64)).reshape(-1, targets.shape[-1], 2)
+    return (total_power + eta * parts[:, :num_streams].sum()
+            + (1.0 - eta) * parts[:, num_streams:].sum())
+
+
+def _chain_objective(offsets: np.ndarray, g_norms: np.ndarray,
+                     baseband_power: float) -> np.ndarray:
+    """The objective right after a baseband step: offsets - 2 sqrt(c) ||G||_F.
+
+    The weighted distance expands to ||F||^2 + eta ||f_com||^2
+    + (1 - eta) ||f_rad U||^2 - 2 Re<F, M> with M = eta f_com + (1 - eta) f_rad U.
+    Here ||F||^2 = P exactly, ||f_rad U|| = ||f_rad|| because U has orthonormal
+    rows, and Re<F, M> = Re<F_BB, G> = sqrt(c) ||G||_F for F_BB = sqrt(c) G / ||G||_F.
+    """
+    return offsets - 2.0 * math.sqrt(baseband_power) * g_norms
 
 
 def _check_finite_objective(values: np.ndarray, eta: np.ndarray) -> None:
@@ -392,10 +456,13 @@ def alternating_minimization_batch(f_com, f_rad, num_rf_chains: int,
     """`alternating_minimization` for several configs that differ only in `eta`.
 
     Every member starts from the same seeded point, and each iteration runs
-    the three block solves once over the stack of members still running.  A
-    member leaves the stack at the iteration where its own stopping rule
-    fires, so its report equals, bit for bit, the one a stack holding it
-    alone returns.  Reports come back in the order of `configs`.
+    the three block solves once over the stack of members still running,
+    on per-chain block sums only (see the module docstring).  A member leaves
+    the stack at the iteration where its own stopping rule fires, so its
+    report equals, bit for bit, the one a stack holding it alone returns.
+    Its last trace entry is then recomputed from the materialized design, and
+    `SolverError` is raised if it differs from the block-sum value by more than
+    1e-12 * (1 + objective).  Reports come back in the order of `configs`.
     """
     configs = list(configs)
     if not configs:
@@ -424,47 +491,61 @@ def alternating_minimization_batch(f_com, f_rad, num_rf_chains: int,
     )
     count = len(configs)
     eta = np.array([c.eta for c in configs], dtype=float)
+    targets = _chain_targets(f_com, f_rad, num_rf_chains)
+    offsets = _objective_offsets(targets, num_streams, eta, first.total_power)
+    baseband_power = num_rf_chains * first.total_power / num_antennas
     phases = np.tile(analog.phases, (count, 1))
     basebands = np.tile(baseband.matrix, (count, 1, 1))
-    unitaries = np.tile(unitary.matrix, (count, 1, 1))
-    # the product of one iteration is the input of the next one's unitary solve
-    products = materialize_product(phases, basebands)
+    # the radar block sums of one iteration's phases feed the next unitary step
+    g_rad = _block_sums(np.exp(-1j * phases), targets)[..., num_streams:]
     traces = np.empty((first.max_iterations + 1, count))  # column j: stack entry j
-    traces[0] = metrics.fitting_errors(products, f_com, f_rad @ unitaries, eta)[2]
+    traces[0] = objective(analog, baseband, unitary, f_com, f_rad, eta)
     _check_finite_objective(traces[0], eta)
     thresholds = first.tolerance * (1.0 + traces[0])
     members = np.arange(count)  # index into `configs` of each stack entry
     reports: list[AltMinReport | None] = [None] * count
     for step in range(1, first.max_iterations + 1):
-        unitaries = _unitary_step(f_rad, products)
+        unitaries = _unitary_step(g_rad, basebands)
         _check_orthonormal_rows(unitaries)
-        f_rad_u = f_rad @ unitaries
-        mixed = _mix(f_com, f_rad_u, eta)
-        phases = _analog_step(basebands, mixed, phases)
-        basebands = _baseband_step(phases, mixed, num_rf_chains, first.total_power, eta)
-        products = materialize_product(phases, basebands)
-        traces[step] = metrics.fitting_errors(products, f_com, f_rad_u, eta)[2]
+        phases = _analog_step(targets, basebands, unitaries, eta, phases)
+        sums = _block_sums(np.exp(-1j * phases), targets)
+        basebands, g_norms = _baseband_step(sums, unitaries, eta, num_antennas,
+                                            first.total_power)
+        g_rad = sums[..., num_streams:]
+        traces[step] = _chain_objective(offsets, g_norms, baseband_power)
         _check_finite_objective(traces[step], eta)
         converged = np.abs(traces[step] - traces[step - 1]) < thresholds
         leaving = converged if step < first.max_iterations else np.ones(len(members), bool)
         if not leaving.any():
             continue
         for i in np.flatnonzero(leaving):
+            hybrid = HybridBeamformer(
+                AnalogBeamformer(num_antennas, num_rf_chains, phases[i]),
+                BasebandBeamformer(basebands[i].copy()),
+            )
+            final = AuxiliaryUnitary(unitaries[i].copy())
+            trace = traces[:step + 1, i].tolist()
+            trace[-1] = _exact_final_objective(hybrid, final, f_com, f_rad, eta[i], trace[-1])
             reports[members[i]] = AltMinReport(
-                hybrid=HybridBeamformer(
-                    AnalogBeamformer(num_antennas, num_rf_chains, phases[i]),
-                    BasebandBeamformer(basebands[i].copy()),
-                ),
-                unitary=AuxiliaryUnitary(unitaries[i].copy()),
-                objective_trace=traces[:step + 1, i].tolist(),
-                iterations_used=step,
-                converged=bool(converged[i]),
+                hybrid=hybrid, unitary=final, objective_trace=trace,
+                iterations_used=step, converged=bool(converged[i]),
             )
         stay = ~leaving
         if not stay.any():
             break
-        members, eta, thresholds, phases, basebands, products = (
-            a[stay] for a in (members, eta, thresholds, phases, basebands, products)
+        members, eta, thresholds, offsets, phases, basebands, g_rad = (
+            a[stay] for a in (members, eta, thresholds, offsets, phases, basebands, g_rad)
         )
         traces = traces[:, stay]
     return reports
+
+
+def _exact_final_objective(hybrid: HybridBeamformer, unitary: AuxiliaryUnitary,
+                           f_com: np.ndarray, f_rad: np.ndarray, eta: float,
+                           chain_value: float) -> float:
+    """`objective` of a finished design, checked against its block-sum value."""
+    exact = float(objective(hybrid.analog, hybrid.baseband, unitary, f_com, f_rad, eta))
+    if not abs(exact - chain_value) <= 1e-12 * (1.0 + exact):
+        raise SolverError(f"block-sum objective {chain_value!r} disagrees with the exact "
+                          f"{exact!r} at eta={eta}")
+    return exact

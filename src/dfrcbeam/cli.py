@@ -355,8 +355,11 @@ def run_beampattern(config: ExperimentConfig, eta: float,
     f_rad = radar_target(config)
     tasks = [(config, eta, trial, f_rad) for trial in trials]
     results = _map_trials(_beampattern_trial, tasks, workers)
-    stacked = np.array([r["covariance"] for r in results])
-    covariance = stacked.sum(axis=0) / len(results)
+    # summed in place in trial order, so no (trials, N, N) stack is formed
+    covariance = results[0]["covariance"].copy()
+    for r in results[1:]:
+        covariance += r["covariance"]
+    covariance /= len(results)
     grid = ula.angle_grid_deg(*config.beampattern_grid_deg)
     gains = ula.beampattern(covariance, ula.UlaConfig(config.n_tx), np.deg2rad(grid))
     rows = list(zip(grid.tolist(), gains.tolist()))

@@ -342,7 +342,7 @@ def test_alternating_minimization_skips_dense_analog_and_sphere_solver(monkeypat
     assert alternating_minimization(f_com, f_rad, 4, config).iterations_used >= 1
 
 
-def test_alternating_minimization_materializes_once_per_iteration(monkeypatch):
+def test_alternating_minimization_materializes_only_at_start_and_exit(monkeypatch):
     import dfrcbeam.altmin as altmin_module
     calls = []
     original = altmin_module.materialize_product
@@ -356,7 +356,13 @@ def test_alternating_minimization_materializes_once_per_iteration(monkeypatch):
     config = AltMinConfig(eta=0.6, total_power=3.0, max_iterations=50, rng_seed=4)
     report = alternating_minimization(f_com, f_rad, 4, config)
     assert report.iterations_used > 1
-    assert len(calls) == report.iterations_used + 1
+    assert len(calls) == 2  # the start and the exit check
+    calls.clear()
+    configs = [AltMinConfig(eta=eta, total_power=3.0, max_iterations=50, rng_seed=4)
+               for eta in (0.0, 0.3, 0.6, 0.9, 1.0)]
+    reports = alternating_minimization_batch(f_com, f_rad, 4, configs)
+    assert len({r.iterations_used for r in reports}) > 1
+    assert len(calls) == 1 + len(configs)
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
@@ -527,30 +533,31 @@ def test_batch_names_the_eta_of_a_non_finite_member():
         alternating_minimization_batch(huge, f_rad, 4, configs)
 
 
-def counting_fitting_errors(monkeypatch, spoil_at=None):
-    """Count the objective evaluations; the `spoil_at`-th makes member 1's NaN."""
-    import dfrcbeam.metrics as metrics_module
-    original = metrics_module.fitting_errors
+def counting_calls(monkeypatch, module, name, spoil_at=None):
+    """Count the calls of `module.name`; the `spoil_at`-th returns a copy of
+    its per-member result with member 1 set to NaN."""
+    original = getattr(module, name)
     calls = []
 
     def counted(*args):
-        comm, radar, weighted = original(*args)
+        result = original(*args)
         calls.append(1)
         if len(calls) == spoil_at:
-            weighted = weighted.copy()
-            weighted[1] = math.nan
-        return comm, radar, weighted
+            result = result.copy()
+            result[1] = math.nan
+        return result
 
-    monkeypatch.setattr(metrics_module, "fitting_errors", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_batch_rejects_a_non_finite_objective_at_the_start(monkeypatch):
+    import dfrcbeam.metrics as metrics_module
     f_com, f_rad = toy_problem(72)
     # at eta = 0 the solve is finite, but the weighted error forms 0 * inf
     f_com[0, 0] = 1e308
     config = AltMinConfig(eta=0.0, total_power=3.0, max_iterations=30)
-    calls = counting_fitting_errors(monkeypatch)
+    calls = counting_calls(monkeypatch, metrics_module, "fitting_errors")
     with np.errstate(all="ignore"), pytest.raises(SolverError,
                                                   match=r"non-finite objective at eta=0\.0"):
         alternating_minimization_batch(f_com, f_rad, 4, [config])
@@ -558,12 +565,32 @@ def test_batch_rejects_a_non_finite_objective_at_the_start(monkeypatch):
 
 
 def test_batch_rejects_a_non_finite_objective_at_a_later_iteration(monkeypatch):
+    import dfrcbeam.altmin as altmin_module
+    import dfrcbeam.metrics as metrics_module
     f_com, f_rad = toy_problem(74)
     configs = [AltMinConfig(eta=eta, total_power=3.0, rng_seed=2) for eta in (0.3, 0.6, 0.9)]
-    calls = counting_fitting_errors(monkeypatch, spoil_at=3)  # after iteration 2
+    exact = counting_calls(monkeypatch, metrics_module, "fitting_errors")
+    in_loop = counting_calls(monkeypatch, altmin_module, "_chain_objective",
+                             spoil_at=2)  # after iteration 2
     with pytest.raises(SolverError, match=r"non-finite objective at eta=0\.6$"):
         alternating_minimization_batch(f_com, f_rad, 4, configs)
-    assert len(calls) == 3
+    assert len(in_loop) == 2
+    assert len(exact) == 1  # the start only: no member has left
+
+
+def test_chain_objective_matches_the_exact_one_at_exit(monkeypatch):
+    import dfrcbeam.altmin as altmin_module
+    f_com, f_rad = toy_problem(75)
+    configs = [AltMinConfig(eta=eta, total_power=3.0, rng_seed=6) for eta in (0.2, 0.7)]
+    original = altmin_module._chain_objective
+    for relative, fails in ((1e-10, True), (1e-14, False)):
+        monkeypatch.setattr(altmin_module, "_chain_objective",
+                            lambda *args: original(*args) * (1.0 + relative))
+        if fails:
+            with pytest.raises(SolverError, match="block-sum objective .* disagrees"):
+                alternating_minimization_batch(f_com, f_rad, 4, configs)
+        else:
+            alternating_minimization_batch(f_com, f_rad, 4, configs)
 
 
 def test_eta_stack_solves_once_for_all_its_designs(monkeypatch):

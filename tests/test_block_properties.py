@@ -1,10 +1,12 @@
 """Property tests of the stacked block updates in `altmin`.
 
 Each update is run on stacks of one and of several problems that share their
-targets and differ in `eta`, as in the alternating loop.  For every member it
-must not raise the objective, must keep the power exact and the phases
-canonical, and must give bit for bit what a stack holding that member alone
-gives.
+targets and differ in `eta`, as in the alternating loop, and takes the
+per-chain block sums the loop passes it.  For every member it must not raise
+the objective, must keep the power exact and the phases canonical, and must
+give bit for bit what a stack holding that member alone gives.  The
+block-sum objective after a baseband step must match the objective of the
+materialized design.
 """
 
 import math
@@ -47,8 +49,14 @@ class Stack:
         product = materialize_product(phases, basebands)
         return metrics.fitting_errors(product, self.f_com, self.f_rad @ unitaries, self.eta)[2]
 
-    def mixed(self) -> np.ndarray:
-        return altmin._mix(self.f_com, self.f_rad @ self.unitaries, self.eta)
+    def targets(self) -> np.ndarray:
+        return altmin._chain_targets(self.f_com, self.f_rad, self.num_rf)
+
+    def block_sums(self) -> np.ndarray:
+        return altmin._block_sums(np.exp(-1j * self.phases), self.targets())
+
+    def radar_sums(self) -> np.ndarray:
+        return self.block_sums()[..., self.f_com.shape[1]:]
 
 
 @st.composite
@@ -88,42 +96,56 @@ def assert_matches_stacks_of_one(stacked, solve_one):
 
 
 def check_unitary_step(p: Stack):
-    products = materialize_product(p.phases, p.basebands)
-    unitaries = altmin._unitary_step(p.f_rad, products)
+    g_rad = p.radar_sums()
+    unitaries = altmin._unitary_step(g_rad, p.basebands)
     altmin._check_orthonormal_rows(unitaries)
     assert_not_raised(p.objective(), p.objective(unitaries=unitaries))
     assert_matches_stacks_of_one(
-        unitaries, lambda i: altmin._unitary_step(p.f_rad, products[i:i + 1]))
+        unitaries, lambda i: altmin._unitary_step(g_rad[i:i + 1], p.basebands[i:i + 1]))
 
 
 def check_analog_step(p: Stack):
-    mixed = p.mixed()
-    phases = altmin._analog_step(p.basebands, mixed, p.phases)
+    targets = p.targets()
+    phases = altmin._analog_step(targets, p.basebands, p.unitaries, p.eta, p.phases)
     assert np.all((0.0 <= phases) & (phases < TWO_PI))
     assert_not_raised(p.objective(), p.objective(phases=phases))
     assert_matches_stacks_of_one(
-        phases, lambda i: altmin._analog_step(p.basebands[i:i + 1], mixed[i:i + 1],
+        phases, lambda i: altmin._analog_step(targets, p.basebands[i:i + 1],
+                                              p.unitaries[i:i + 1], p.eta[i:i + 1],
                                               p.phases[i:i + 1]))
 
 
-def check_baseband_step(p: Stack):
-    mixed = p.mixed()
+def baseband_step(p: Stack, members=slice(None)):
     num_antennas = p.phases.shape[1]
-    basebands = altmin._baseband_step(p.phases, mixed, p.num_rf, p.total_power, p.eta)
+    return altmin._baseband_step(p.block_sums()[members], p.unitaries[members], p.eta[members],
+                                 num_antennas, p.total_power)
+
+
+def check_baseband_step(p: Stack):
+    basebands, _ = baseband_step(p)
+    num_antennas = p.phases.shape[1]
     sphere = p.num_rf * p.total_power / num_antennas
     baseband_power = np.sum(np.abs(basebands) ** 2, axis=(1, 2))
     np.testing.assert_allclose(baseband_power, sphere, rtol=1e-12)
     product_power = np.sum(np.abs(materialize_product(p.phases, basebands)) ** 2, axis=(1, 2))
     np.testing.assert_allclose(product_power, p.total_power, rtol=1e-12)
     assert_not_raised(p.objective(), p.objective(basebands=basebands))
-    assert_matches_stacks_of_one(
-        basebands, lambda i: altmin._baseband_step(p.phases[i:i + 1], mixed[i:i + 1],
-                                                   p.num_rf, p.total_power, p.eta[i:i + 1]))
+    assert_matches_stacks_of_one(basebands, lambda i: baseband_step(p, slice(i, i + 1))[0])
+
+
+def check_chain_objective(p: Stack):
+    basebands, g_norms = baseband_step(p)
+    num_antennas = p.phases.shape[1]
+    offsets = altmin._objective_offsets(p.targets(), p.f_com.shape[1], p.eta, p.total_power)
+    chain = altmin._chain_objective(offsets, g_norms, p.num_rf * p.total_power / num_antennas)
+    exact = p.objective(basebands=basebands)
+    assert np.all(np.abs(chain - exact) <= 1e-12 * (1.0 + exact)), (chain, exact)
 
 
 @pytest.mark.parametrize("size", ["one", "several"])
-@pytest.mark.parametrize("check", [check_unitary_step, check_analog_step, check_baseband_step],
-                         ids=["unitary", "analog", "baseband"])
+@pytest.mark.parametrize("check", [check_unitary_step, check_analog_step, check_baseband_step,
+                                   check_chain_objective],
+                         ids=["unitary", "analog", "baseband", "chain_objective"])
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_block_update_properties(check, size, data):

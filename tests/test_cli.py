@@ -510,3 +510,29 @@ def test_cli_beampattern_header_and_determinism(tmp_path):
     assert any(line.startswith("# eta=") for line in lines[:5])
     assert lines[5] == "angle_deg,gain"
     assert len(lines) == 5 + 1 + 361
+
+
+def run_cli_with_blas_threads(args, threads):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
+    return subprocess.run([sys.executable, "-m", "dfrcbeam.cli", *args],
+                          capture_output=True, text=True, timeout=300, env=env)
+
+
+@pytest.mark.parametrize("command", [
+    ["rate-sweep"],
+    ["beampattern", "--eta", "0.4", "--average-trials"],
+], ids=["rate-sweep", "beampattern"])
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, command):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"num_trials": 2}))  # reference dimensions
+    outputs = {}
+    for threads in (1, 2, None):
+        out = tmp_path / f"threads_{threads}.csv"
+        result = run_cli_with_blas_threads(
+            [*command, "--config", str(config_path), "--seed", "1", "--out", str(out)], threads)
+        assert result.returncode == 0, result.stderr
+        outputs[threads] = out.read_bytes()
+    assert outputs[1] == outputs[2] == outputs[None]
