@@ -116,7 +116,9 @@ class AltMinReport:
 
     `objective_trace[0]` is the objective at the random start; entry k is the
     value after iteration k.  `converged` is False when the run stopped only
-    because `max_iterations` was reached.
+    because `max_iterations` was reached.  `product` is the materialized
+    N x S beamformer, and `comm_error` and `radar_error` are its squared
+    distances to f_com and to f_rad U, all as the exit check computed them.
     """
 
     hybrid: HybridBeamformer
@@ -124,6 +126,9 @@ class AltMinReport:
     objective_trace: list[float] = field(repr=False)
     iterations_used: int
     converged: bool
+    product: np.ndarray = field(repr=False)
+    comm_error: float
+    radar_error: float
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -460,9 +465,10 @@ def alternating_minimization_batch(f_com, f_rad, num_rf_chains: int,
     on per-chain block sums only (see the module docstring).  A member leaves
     the stack at the iteration where its own stopping rule fires, so its
     report equals, bit for bit, the one a stack holding it alone returns.
-    Its last trace entry is then recomputed from the materialized design, and
-    `SolverError` is raised if it differs from the block-sum value by more than
-    1e-12 * (1 + objective).  Reports come back in the order of `configs`.
+    Its last trace entry is then recomputed from the materialized design, which
+    the report keeps with its fitting errors, and `SolverError` is raised if it
+    differs from the block-sum value by more than 1e-12 * (1 + objective).
+    Reports come back in the order of `configs`.
     """
     configs = list(configs)
     if not configs:
@@ -498,10 +504,10 @@ def alternating_minimization_batch(f_com, f_rad, num_rf_chains: int,
     basebands = np.tile(baseband.matrix, (count, 1, 1))
     # the radar block sums of one iteration's phases feed the next unitary step
     g_rad = _block_sums(np.exp(-1j * phases), targets)[..., num_streams:]
-    traces = np.empty((first.max_iterations + 1, count))  # column j: stack entry j
-    traces[0] = objective(analog, baseband, unitary, f_com, f_rad, eta)
-    _check_finite_objective(traces[0], eta)
-    thresholds = first.tolerance * (1.0 + traces[0])
+    values = objective(analog, baseband, unitary, f_com, f_rad, eta)
+    _check_finite_objective(values, eta)
+    traces = [[value] for value in values.tolist()]  # in the order of `configs`
+    thresholds = first.tolerance * (1.0 + values)
     members = np.arange(count)  # index into `configs` of each stack entry
     reports: list[AltMinReport | None] = [None] * count
     for step in range(1, first.max_iterations + 1):
@@ -512,9 +518,12 @@ def alternating_minimization_batch(f_com, f_rad, num_rf_chains: int,
         basebands, g_norms = _baseband_step(sums, unitaries, eta, num_antennas,
                                             first.total_power)
         g_rad = sums[..., num_streams:]
-        traces[step] = _chain_objective(offsets, g_norms, baseband_power)
-        _check_finite_objective(traces[step], eta)
-        converged = np.abs(traces[step] - traces[step - 1]) < thresholds
+        previous = values
+        values = _chain_objective(offsets, g_norms, baseband_power)
+        _check_finite_objective(values, eta)
+        for member, value in zip(members.tolist(), values.tolist()):
+            traces[member].append(value)
+        converged = np.abs(values - previous) < thresholds
         leaving = converged if step < first.max_iterations else np.ones(len(members), bool)
         if not leaving.any():
             continue
@@ -524,28 +533,34 @@ def alternating_minimization_batch(f_com, f_rad, num_rf_chains: int,
                 BasebandBeamformer(basebands[i].copy()),
             )
             final = AuxiliaryUnitary(unitaries[i].copy())
-            trace = traces[:step + 1, i].tolist()
-            trace[-1] = _exact_final_objective(hybrid, final, f_com, f_rad, eta[i], trace[-1])
+            trace = traces[members[i]]
+            product, comm, radar, trace[-1] = _exact_final_objective(
+                hybrid, final, f_com, f_rad, eta[i], trace[-1])
             reports[members[i]] = AltMinReport(
                 hybrid=hybrid, unitary=final, objective_trace=trace,
                 iterations_used=step, converged=bool(converged[i]),
+                product=product, comm_error=comm, radar_error=radar,
             )
         stay = ~leaving
         if not stay.any():
             break
-        members, eta, thresholds, offsets, phases, basebands, g_rad = (
-            a[stay] for a in (members, eta, thresholds, offsets, phases, basebands, g_rad)
+        members, eta, thresholds, offsets, values, phases, basebands, g_rad = (
+            a[stay] for a in (members, eta, thresholds, offsets, values, phases, basebands,
+                              g_rad)
         )
-        traces = traces[:, stay]
     return reports
 
 
 def _exact_final_objective(hybrid: HybridBeamformer, unitary: AuxiliaryUnitary,
                            f_com: np.ndarray, f_rad: np.ndarray, eta: float,
-                           chain_value: float) -> float:
-    """`objective` of a finished design, checked against its block-sum value."""
-    exact = float(objective(hybrid.analog, hybrid.baseband, unitary, f_com, f_rad, eta))
+                           chain_value: float):
+    """A finished design scored from its materialized product, with the
+    objective checked against its block-sum value: (product, comm_error,
+    radar_error, objective)."""
+    product = materialize_product(hybrid.analog, hybrid.baseband.matrix)
+    comm, radar, exact = metrics.fitting_errors(product, f_com, f_rad @ unitary.matrix, eta)
+    exact = float(exact)
     if not abs(exact - chain_value) <= 1e-12 * (1.0 + exact):
         raise SolverError(f"block-sum objective {chain_value!r} disagrees with the exact "
                           f"{exact!r} at eta={eta}")
-    return exact
+    return product, comm, radar, exact

@@ -147,8 +147,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 kwargs[name] = int(value)
             elif name in _SEQ_FIELDS:
                 kwargs[name] = tuple(float(x) for x in value)
+            elif value is None and name == "total_power":
+                kwargs[name] = None  # the default: n_rx
             else:
-                kwargs[name] = float(value) if value is not None else None
+                kwargs[name] = float(value)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
@@ -181,14 +183,14 @@ class TrialDesign:
 
 @dataclass(frozen=True)
 class TrialDraw:
-    """What the designs of one trial share: its channel, both targets and, in a
-    sweep, the stacked solve of every configured eta."""
+    """What the designs of one trial share: its channel, both targets and the
+    stacked solve of the etas it was drawn for."""
 
     channel: channel.ChannelRealization
     f_com: np.ndarray
     w_com: np.ndarray
     f_rad: np.ndarray
-    stack: altmin.EtaStack | None = None
+    stack: altmin.EtaStack
 
 
 def radar_target(config: ExperimentConfig) -> np.ndarray:
@@ -220,11 +222,12 @@ def _altmin_config(config: ExperimentConfig, eta: float, trial: int) -> altmin.A
     )
 
 
-def sweep_draw(config: ExperimentConfig, trial: int, f_rad: np.ndarray) -> TrialDraw:
-    """The trial's draw with one stacked solve shared by every configured eta."""
+def stacked_draw(config: ExperimentConfig, trial: int, f_rad: np.ndarray,
+                 etas) -> TrialDraw:
+    """The trial's draw with one stacked solve shared by the designs at `etas`."""
     realization, f_com, w_com = draw_trial(config, trial)
     stack = altmin.EtaStack(f_com, f_rad, config.n_rf,
-                            [_altmin_config(config, eta, trial) for eta in config.eta_values])
+                            [_altmin_config(config, eta, trial) for eta in etas])
     return TrialDraw(realization, f_com, w_com, f_rad, stack)
 
 
@@ -232,17 +235,28 @@ def design_trial(config: ExperimentConfig, eta: float, trial: int,
                  draw: TrialDraw | None = None) -> TrialDesign:
     """Run the alternating design for one eta of a trial.
 
-    `draw` passes what the trial's designs share; without it the trial is
-    drawn and the radar target built here.  A design is the same bit for bit
-    either way.
+    `draw` passes what the trial's designs share, and must have been drawn for
+    `eta`; without it the trial is drawn for `eta` alone.  A design is the
+    same bit for bit either way.
     """
     if draw is None:
-        draw = TrialDraw(*draw_trial(config, trial), radar_target(config))
+        draw = stacked_draw(config, trial, radar_target(config), (eta,))
     report = altmin.alternating_minimization(
         draw.f_com, draw.f_rad, config.n_rf, _altmin_config(config, eta, trial), draw.stack
     )
     return TrialDesign(channel=draw.channel, f_com=draw.f_com, w_com=draw.w_com,
                        f_rad=draw.f_rad, report=report)
+
+
+def _trial_designs(config: ExperimentConfig, trial: int, f_rad: np.ndarray,
+                   etas) -> list[TrialDesign]:
+    """The trial's designs at `etas`, in order, from one draw and one stacked solve."""
+    try:
+        draw = stacked_draw(config, trial, f_rad, etas)
+        return [design_trial(config, eta, trial, draw) for eta in etas]
+    except (altmin.SolverError, np.linalg.LinAlgError) as exc:
+        # the first design solves every eta of the trial; a solver error names its eta
+        raise altmin.SolverError(f"trial {trial} failed: {exc}") from exc
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -261,32 +275,17 @@ def _map_trials(worker, tasks, workers: int) -> list:
 
 def _rate_trial(task) -> dict:
     config, trial, f_rad = task
-    rates = []
-    comm_errs = []
-    radar_errs = []
-    iterations = []
-    converged = []
-    try:
-        draw = sweep_draw(config, trial, f_rad)
-        for eta in config.eta_values:
-            design = design_trial(config, eta, trial, draw)
-            hybrid = design.report.hybrid.materialize()
-            comm, radar, _ = metrics.fitting_errors(
-                hybrid, design.f_com, design.f_rad @ design.report.unitary.matrix, eta
-            )
-            rates.append([
-                metrics.achievable_rate(design.channel.matrix, hybrid, design.w_com, snr)
-                for snr in config.snr_db_values
-            ])
-            comm_errs.append(comm)
-            radar_errs.append(radar)
-            iterations.append(design.report.iterations_used)
-            converged.append(design.report.converged)
-    except (altmin.SolverError, np.linalg.LinAlgError) as exc:
-        # the first design solves every eta of the trial; a solver error names its eta
-        raise altmin.SolverError(f"trial {trial} failed: {exc}") from exc
-    return {"rates": rates, "comm": comm_errs, "radar": radar_errs,
-            "iterations": iterations, "converged": converged}
+    designs = _trial_designs(config, trial, f_rad, config.eta_values)
+    reports = [design.report for design in designs]
+    return {
+        "rates": [[metrics.achievable_rate(design.channel.matrix, design.report.product,
+                                           design.w_com, snr)
+                   for snr in config.snr_db_values] for design in designs],
+        "comm": [r.comm_error for r in reports],
+        "radar": [r.radar_error for r in reports],
+        "iterations": [r.iterations_used for r in reports],
+        "converged": [r.converged for r in reports],
+    }
 
 
 RATE_COLUMNS = ("eta", "snr_db", "mean_rate", "std_rate",
@@ -332,12 +331,9 @@ def run_rate_sweep(config: ExperimentConfig, workers: int = 1):
 
 def _beampattern_trial(task) -> dict:
     config, eta, trial, f_rad = task
-    try:
-        design = design_trial(config, eta, trial, TrialDraw(*draw_trial(config, trial), f_rad))
-    except (altmin.SolverError, np.linalg.LinAlgError) as exc:
-        raise altmin.SolverError(f"trial {trial} at eta={eta} failed: {exc}") from exc
-    covariance = ula.covariance_of(design.report.hybrid.materialize())
-    return {"covariance": covariance, "converged": design.report.converged}
+    [design] = _trial_designs(config, trial, f_rad, (eta,))
+    return {"covariance": ula.covariance_of(design.report.product),
+            "converged": design.report.converged}
 
 
 BEAMPATTERN_COLUMNS = ("angle_deg", "gain")
@@ -380,10 +376,7 @@ CONVERGENCE_COLUMNS = ("iteration", "objective")
 
 def run_convergence(config: ExperimentConfig, eta: float):
     """Objective trace of a single seeded run (trial 0)."""
-    try:
-        design = design_trial(config, eta, 0)
-    except (altmin.SolverError, np.linalg.LinAlgError) as exc:
-        raise altmin.SolverError(f"trial 0 at eta={eta} failed: {exc}") from exc
+    [design] = _trial_designs(config, 0, radar_target(config), (eta,))
     rows = [(k, value) for k, value in enumerate(design.report.objective_trace)]
     info = {"converged_runs": int(design.report.converged), "total_runs": 1,
             "iterations_used": design.report.iterations_used}

@@ -9,7 +9,6 @@ complex matrix over RF chains and streams.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,30 +154,3 @@ def scale_to_power(matrices: np.ndarray, num_antennas: int, num_rf_chains: int,
     target = num_rf_chains * total_power / num_antennas
     return matrices * np.sqrt(target / norm_sq)[..., None, None]
 
-
-def hybrid_to_json(hb: HybridBeamformer) -> str:
-    """Serialize to a JSON document; floats round-trip exactly."""
-    doc = {
-        "num_antennas": hb.analog.num_antennas,
-        "num_rf_chains": hb.analog.num_rf_chains,
-        "num_streams": hb.baseband.num_streams,
-        "phases": hb.analog.phases.tolist(),
-        "baseband": [[z.real, z.imag] for z in hb.baseband.matrix.ravel()],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def hybrid_from_json(text: str) -> HybridBeamformer:
-    doc = json.loads(text)
-    analog = AnalogBeamformer(
-        num_antennas=int(doc["num_antennas"]),
-        num_rf_chains=int(doc["num_rf_chains"]),
-        phases=np.asarray(doc["phases"], dtype=float),
-    )
-    flat = np.asarray(doc["baseband"], dtype=float)
-    if flat.ndim != 2 or flat.shape[1] != 2:
-        raise ValueError("baseband entries must be [real, imag] pairs")
-    matrix = (flat[:, 0] + 1j * flat[:, 1]).reshape(
-        analog.num_rf_chains, int(doc["num_streams"])
-    )
-    return HybridBeamformer(analog, BasebandBeamformer(matrix))

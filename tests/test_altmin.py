@@ -514,6 +514,21 @@ def test_batch_members_report_as_their_one_member_runs():
         assert_same_report(report, alternating_minimization(f_com, f_rad, 4, config))
 
 
+def test_batch_does_not_size_its_trace_by_max_iterations():
+    f_com, f_rad = toy_problem(70)
+
+    def run(max_iterations):
+        configs = [AltMinConfig(eta=eta, total_power=3.0, tolerance=1e-3,
+                                max_iterations=max_iterations, rng_seed=8)
+                   for eta in (0.0, 0.6, 1.0)]
+        return alternating_minimization_batch(f_com, f_rad, 4, configs)
+
+    bounded = run(100)
+    assert all(r.converged and r.iterations_used < 100 for r in bounded)
+    for report, expected in zip(run(10**12), bounded):
+        assert_same_report(report, expected)
+
+
 def test_batch_rejects_configs_that_differ_beyond_eta():
     f_com, f_rad = toy_problem(71)
     base = AltMinConfig(eta=0.5, total_power=3.0, rng_seed=1)

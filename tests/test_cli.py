@@ -12,17 +12,15 @@ from dfrcbeam.cli import (
     ALTMIN_SEED_OFFSET,
     ConfigError,
     ExperimentConfig,
-    TrialDraw,
     config_from_dict,
     design_trial,
-    draw_trial,
     load_config,
     main,
     radar_target,
     run_beampattern,
     run_convergence,
     run_rate_sweep,
-    sweep_draw,
+    stacked_draw,
     write_csv,
 )
 
@@ -93,8 +91,20 @@ def test_config_from_dict_rejects_bad_documents():
         config_from_dict({"n_tx": 12.5})
     with pytest.raises(ConfigError, match="eta_values"):
         config_from_dict({"eta_values": "all"})
+    with pytest.raises(ConfigError, match="tolerance"):
+        config_from_dict({"tolerance": None})  # only total_power may be null
     with pytest.raises(ConfigError):
         config_from_dict(["not", "a", "dict"])
+    assert config_from_dict({"total_power": None, "n_rx": 4}).total_power == 4.0
+
+
+def test_cli_rejects_a_null_tolerance(tmp_path, capsys):
+    config_path = write_toy_config(tmp_path, tolerance=None)
+    out = tmp_path / "x.csv"
+    assert main(["convergence", "--eta", "0.5", "--config", str(config_path),
+                 "--out", str(out)]) == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_load_config_errors(tmp_path):
@@ -208,7 +218,7 @@ def test_rate_sweep_draws_each_trial_once_for_all_etas(monkeypatch):
 
 def test_design_trial_on_a_given_draw_matches_its_own_draw():
     config = toy_config()
-    shared = design_trial(config, 0.3, 2, TrialDraw(*draw_trial(config, 2), radar_target(config)))
+    shared = design_trial(config, 0.3, 2, stacked_draw(config, 2, radar_target(config), (0.3,)))
     own = design_trial(config, 0.3, 2)
     assert shared.report.objective_trace == own.report.objective_trace
     np.testing.assert_array_equal(shared.channel.matrix, own.channel.matrix)
@@ -229,7 +239,7 @@ def test_rate_sweep_designs_equal_design_trial_bit_for_bit():
     f_rad = radar_target(config)
     iterations = []
     for trial in range(config.num_trials):
-        draw = sweep_draw(config, trial, f_rad)
+        draw = stacked_draw(config, trial, f_rad, config.eta_values)
         reports = [design_trial(config, eta, trial, draw).report for eta in config.eta_values]
         assert len({r.iterations_used for r in reports}) > 1
         for eta, report in zip(config.eta_values, reports):
@@ -237,6 +247,61 @@ def test_rate_sweep_designs_equal_design_trial_bit_for_bit():
         iterations.append([r.iterations_used for r in reports])
     _, rows, _ = run_rate_sweep(config)
     assert [row[6] for row in rows] == list(np.mean(iterations, axis=0))
+
+
+def test_rate_sweep_scores_each_design_once_in_the_exit_check(monkeypatch):
+    from dfrcbeam import hybrid
+    calls = {"fitting_errors": 0, "materialize_product": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(metrics, "fitting_errors")
+    counted(hybrid, "materialize_product")
+    counted(altmin, "materialize_product")
+    run_rate_sweep(toy_config(num_trials=3, eta_values=[0.2, 0.5, 0.8, 1.0]))
+    # one at each trial's start and one at each design's exit
+    assert calls == {"fitting_errors": 15, "materialize_product": 15}
+    monkeypatch.undo()
+
+    config = toy_config(num_trials=2, eta_values=[0.0, 0.5, 1.0])
+    f_rad = radar_target(config)
+    for trial in range(config.num_trials):
+        draw = stacked_draw(config, trial, f_rad, config.eta_values)
+        for eta in config.eta_values:
+            report = design_trial(config, eta, trial, draw).report
+            product = report.hybrid.materialize()
+            comm, radar, _ = metrics.fitting_errors(product, draw.f_com,
+                                                    draw.f_rad @ report.unitary.matrix, eta)
+            assert np.array_equal(report.product, product)
+            assert report.comm_error == comm and report.radar_error == radar
+
+
+@pytest.mark.parametrize("command", [
+    ["rate-sweep"],
+    ["beampattern", "--eta", "0.5", "--average-trials"],
+    ["convergence", "--eta", "0.5"],
+], ids=["rate-sweep", "beampattern", "convergence"])
+def test_every_command_names_a_failed_trial(tmp_path, monkeypatch, capsys, command):
+    import dfrcbeam.cli as cli_module
+    original = cli_module.draw_trial
+
+    def boom(cfg, trial):
+        if trial == 0:
+            raise np.linalg.LinAlgError("synthetic failure")
+        return original(cfg, trial)
+
+    monkeypatch.setattr(cli_module, "draw_trial", boom)
+    out = tmp_path / "x.csv"
+    config_path = write_toy_config(tmp_path, num_trials=2)
+    assert main([*command, "--config", str(config_path), "--out", str(out)]) == 3
+    assert "trial 0 failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rate_sweep_solves_each_trial_as_one_stack(monkeypatch):

@@ -5,8 +5,6 @@ from dfrcbeam.hybrid import (
     AnalogBeamformer,
     BasebandBeamformer,
     HybridBeamformer,
-    hybrid_from_json,
-    hybrid_to_json,
     materialize_product,
     normalize_power,
 )
@@ -149,13 +147,3 @@ def test_normalize_power_rejects_degenerate_inputs():
         normalize_power(bb, 10, 4, 1.0)
     with pytest.raises(ValueError):
         normalize_power(bb, 8, 4, 0.0)
-
-
-def test_json_round_trip_is_exact():
-    rng = np.random.default_rng(37)
-    hybrid = random_hybrid(rng, 12, 4, 3)
-    restored = hybrid_from_json(hybrid_to_json(hybrid))
-    assert restored.analog.num_antennas == 12
-    assert restored.analog.num_rf_chains == 4
-    assert np.array_equal(restored.analog.phases, hybrid.analog.phases)
-    assert np.array_equal(restored.baseband.matrix, hybrid.baseband.matrix)
