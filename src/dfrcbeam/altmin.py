@@ -16,9 +16,11 @@ Each of the three blocks admits an exact solve with the others fixed
 in `alternating_minimization` produces a non-increasing objective sequence.
 
 Every block solve is a per-antenna or per-chain array operation, so each is
-implemented once on a stack of problems; `alternating_minimization_batch`
-cycles a stack that differs only in `eta`, and the single design and the
-public 2-D solves are its one-member case.
+implemented once on a stack of members; `alternating_minimization_stack`
+cycles the members of several problems that share f_rad, each at several
+`eta`, and `alternating_minimization_batch` (one problem), the single design
+and the public 2-D solves are its special cases.  The loop state is the unit
+phasor e^{-j phi} of each antenna; phases are formed once, as a member leaves.
 
 The loop never forms the N x S hybrid product or a mixed target.  The analog
 stage has unit-modulus entries on disjoint blocks, so F_RF^H F_RF is a
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -54,7 +57,15 @@ from .ula import TWO_PI
 
 
 class SolverError(RuntimeError):
-    """A numerical subproblem could not be solved to its contract."""
+    """A numerical subproblem could not be solved to its contract.
+
+    `problem` is the index of the failing problem of a stacked solve, or None
+    where the error belongs to no single problem.
+    """
+
+    def __init__(self, message: str, problem: int | None = None) -> None:
+        super().__init__(message)
+        self.problem = problem
 
 
 @dataclass(frozen=True)
@@ -173,12 +184,29 @@ def _chain_targets(f_com: np.ndarray, f_rad: np.ndarray, num_rf: int) -> np.ndar
     return both.reshape(num_rf, -1, both.shape[1])
 
 
-def _block_sums(phasors: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-chain sums of phasors (B, N) times the target rows of `_chain_targets`,
-    one stacked matmul; returns (B, R, S + T), whose first S columns are G_com
-    and the rest G_rad."""
-    num_rf, block, width = targets.shape
-    return (phasors.reshape(-1, num_rf, 1, block) @ targets).reshape(-1, num_rf, width)
+def _problem_rows(targets: np.ndarray, counts) -> list:
+    """(chain targets, member rows) of each problem that has members, for a
+    stack of chain targets (P, R, N / R, S + T) whose problem p holds the
+    next `counts[p]` members."""
+    stops = accumulate(counts)
+    return [(targets[p], slice(stop - count, stop))
+            for p, (count, stop) in enumerate(zip(counts, stops)) if count]
+
+
+def _block_sums(phasors: np.ndarray, targets: np.ndarray, rows=None) -> np.ndarray:
+    """Per-chain sums of phasors (B, N) times the target rows of `_chain_targets`;
+    returns (B, R, S + T), whose first S columns are G_com and the rest G_rad.
+
+    `targets` is one problem's `_chain_targets` (R, N / R, S + T), shared by
+    every member, unless `rows` lists the problems of a stack as
+    `_problem_rows` does; each problem takes one stacked matmul.
+    """
+    num_rf, block, width = targets.shape[-3:]
+    stacked = phasors.reshape(-1, num_rf, 1, block)
+    out = np.empty((len(stacked), num_rf, 1, width), dtype=complex)
+    for problem_targets, members in rows or [(targets, slice(None))]:
+        np.matmul(stacked[members], problem_targets, out=out[members])
+    return out.reshape(-1, num_rf, width)
 
 
 def solve_analog(baseband, f_com, f_rad_u, eta: float,
@@ -204,32 +232,43 @@ def solve_analog(baseband, f_com, f_rad_u, eta: float,
         raise ValueError("baseband and targets disagree on the stream count")
     if num_antennas % num_rf != 0:
         raise ValueError(f"{num_antennas} antennas not divisible by {num_rf} RF chains")
-    fallback = previous.phases if previous is not None else np.zeros(num_antennas)
+    fallback = (np.exp(-1j * previous.phases) if previous is not None
+                else np.ones(num_antennas, dtype=complex))
     identity = np.eye(num_streams, dtype=complex)[None]
-    phases = _analog_step(_chain_targets(f_com, f_rad_u, num_rf), baseband[None], identity,
-                          np.array([eta], dtype=float), fallback[None])[0]
-    return AnalogBeamformer(num_antennas, num_rf, phases)
+    phasors = _analog_step(_chain_targets(f_com, f_rad_u, num_rf), baseband[None], identity,
+                           np.array([eta], dtype=float), fallback[None])
+    return AnalogBeamformer(num_antennas, num_rf, canonical_phases(-np.angle(phasors[0])))
 
 
 def _analog_step(targets: np.ndarray, basebands: np.ndarray, unitaries: np.ndarray,
-                 eta: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """`solve_analog` for a stack: chain targets (R, L, S + T), basebands
-    (B, R, S), unitaries (B, T, S), weights (B,) and the phases (B, N) kept
-    where the correlation is zero; returns the canonical (B, N) phases.
+                 eta: np.ndarray, previous: np.ndarray, rows=None) -> np.ndarray:
+    """`solve_analog` for a stack: chain targets and `rows` as for `_block_sums`, basebands
+    (B, R, S), unitaries (B, T, S), weights (B,) and the phasors (B, N) kept
+    where the correlation is zero; returns the optimal phasors e^{-j phi},
+    conj(c) / |c| for each antenna's correlation c.
 
     <t_i, b_c> = eta <f_com,i, b_c> + (1 - eta) <f_rad,i, b_c U^H>, so each
     antenna correlates its target row with one (S + T)-vector of its chain.
     """
     weight = eta[:, None, None]
     conj = basebands.conj()
-    chain_vectors = np.concatenate(
-        [weight * conj, (1.0 - weight) * (conj @ unitaries.swapaxes(-1, -2))], axis=2)
-    corr = (targets @ chain_vectors[..., None]).reshape(len(eta), -1)
-    phases = np.arctan2(corr.imag, corr.real)
-    degenerate = corr == 0
-    if degenerate.any():
-        phases = np.where(degenerate, previous, phases)
-    return canonical_phases(phases)
+    num_rf, block, width = targets.shape[-3:]
+    num_streams = conj.shape[-1]
+    chain_vectors = np.empty((len(eta), num_rf, width, 1), dtype=complex)
+    np.multiply(weight, conj, out=chain_vectors[:, :, :num_streams, 0])
+    np.multiply(1.0 - weight, conj @ unitaries.swapaxes(-1, -2),
+                out=chain_vectors[:, :, num_streams:, 0])
+    corr = np.empty((len(eta), num_rf, block, 1), dtype=complex)
+    for problem_targets, members in rows or [(targets, slice(None))]:
+        np.matmul(problem_targets, chain_vectors[members], out=corr[members])
+    corr = corr.reshape(len(eta), -1)
+    magnitude = np.abs(corr)
+    phasors = np.conjugate(corr, out=corr)
+    if magnitude.all():
+        return np.divide(phasors, magnitude, out=phasors)
+    degenerate = magnitude == 0
+    magnitude[degenerate] = 1.0
+    return np.where(degenerate, previous, np.divide(phasors, magnitude, out=phasors))
 
 
 def solve_sphere_least_squares(q: np.ndarray, g: np.ndarray, target_sq_norm: float):
@@ -341,17 +380,18 @@ def solve_baseband(analog: AnalogBeamformer, f_com, f_rad_u, eta: float,
 
 
 def _baseband_step(sums: np.ndarray, unitaries: np.ndarray, eta: np.ndarray,
-                   num_antennas: int, total_power: float):
+                   num_antennas: int, total_power: float, problems=None):
     """`solve_baseband` for a stack: block sums (B, R, S + T) of the new phases,
     unitaries (B, T, S) and weights (B,); returns the (B, R, S) basebands and
-    ||G||_F per member, taken before the zero-target fallback.  `eta` names
-    the failing member in errors."""
+    ||G||_F per member, taken before the zero-target fallback.  `eta` and the
+    members' problem indices `problems` (default: all 0) name the failing
+    member in errors."""
     num_streams = unitaries.shape[-1]
     weight = eta[:, None, None]
     g = weight * sums[..., :num_streams] + (1.0 - weight) * (sums[..., num_streams:] @ unitaries)
     if not np.isfinite(g).all():
-        failing = eta[~np.isfinite(g).all(axis=(1, 2))][0]
-        raise SolverError(f"non-finite entries in the baseband target at eta={failing}")
+        raise _member_error("non-finite entries in the baseband target",
+                            ~np.isfinite(g).all(axis=(1, 2)), eta, problems)
     norm_sq = np.square(g.view(np.float64)).sum(axis=(1, 2))
     nonzero = norm_sq > 0
     if not nonzero.all():
@@ -380,16 +420,41 @@ def _chain_objective(offsets: np.ndarray, g_norms: np.ndarray,
     return offsets - 2.0 * math.sqrt(baseband_power) * g_norms
 
 
-def _check_finite_objective(values: np.ndarray, eta: np.ndarray) -> None:
-    """Raise `SolverError` naming every member whose objective is not finite.
+def _member_error(message: str, failing: np.ndarray, eta: np.ndarray,
+                  problems=None) -> SolverError:
+    """`SolverError` naming the etas of the failing members of the first
+    problem that has any; `problems` gives each member's problem (default: all 0)."""
+    problems = np.zeros(len(eta), dtype=int) if problems is None else problems
+    problem = int(problems[failing][0])
+    etas = ", ".join(f"eta={e}" for e in eta[failing & (problems == problem)])
+    return SolverError(f"{message} at {etas}", problem)
+
+
+def _check_finite_objective(values: np.ndarray, eta: np.ndarray, problems=None) -> None:
+    """Raise `SolverError` naming the members whose objective is not finite
+    (see `_member_error`).
 
     Such a member could never meet its tolerance, so it would otherwise run to
     `max_iterations` and report a NaN or infinite trace.
     """
     finite = np.isfinite(values)
     if not finite.all():
-        failing = ", ".join(f"eta={e}" for e in eta[~finite])
-        raise SolverError(f"non-finite objective at {failing}")
+        raise _member_error("non-finite objective", ~finite, eta, problems)
+
+
+def _unitary_failure(exc: np.linalg.LinAlgError, g_rad: np.ndarray, basebands: np.ndarray,
+                     eta: np.ndarray, problems: np.ndarray) -> SolverError:
+    """`SolverError` naming the members whose unitary step fails on its own
+    (see `_member_error`): the stacked SVD raises for the whole stack."""
+    failing = np.zeros(len(eta), dtype=bool)
+    for i in range(len(eta)):
+        try:
+            _unitary_step(g_rad[i:i + 1], basebands[i:i + 1])
+        except np.linalg.LinAlgError:
+            failing[i] = True
+    if not failing.any():
+        return SolverError(str(exc))
+    return _member_error(str(exc), failing, eta, problems)
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -411,7 +476,7 @@ def random_start(num_antennas: int, num_rf_chains: int, num_streams: int,
 
 
 def alternating_minimization(f_com, f_rad, num_rf_chains: int, config: AltMinConfig,
-                             stack: EtaStack | None = None) -> AltMinReport:
+                             stack: DesignStack | None = None) -> AltMinReport:
     """Design the hybrid beamformer by cycling exact block solves.
 
     Starts from a seeded random feasible point, then repeats
@@ -419,68 +484,87 @@ def alternating_minimization(f_com, f_rad, num_rf_chains: int, config: AltMinCon
     below config.tolerance * (1 + initial objective) or `max_iterations` is
     exhausted.  Every block update is a global solve of its subproblem, so the
     recorded objective trace never increases.  This is the one-member case of
-    `alternating_minimization_batch`.
+    `alternating_minimization_stack`.
 
-    `stack` passes an `EtaStack` that holds this design among others of the
-    same problem; the design is then taken from its shared stacked solve,
-    which is bit for bit the same as solving it alone.
+    `stack` passes a `DesignStack` that holds this design among others; the
+    design is then taken from its shared stacked solve, which is bit for bit
+    the same as solving it alone.
     """
     if stack is None:
         return alternating_minimization_batch(f_com, f_rad, num_rf_chains, [config])[0]
-    if (f_com is not stack.f_com or f_rad is not stack.f_rad
-            or num_rf_chains != stack.num_rf_chains):
+    if f_rad is not stack.f_rad or num_rf_chains != stack.num_rf_chains:
         raise ValueError("the stack holds a different problem")
-    return stack.report(config)
+    return stack.report(f_com, config)
 
 
-class EtaStack:
-    """Designs of one problem at several `eta`, solved as one stack on first use.
+class DesignStack:
+    """Designs of several problems that share f_rad, solved as one stack on first use.
 
-    The configs must differ only in `eta`.  The first `report` runs
-    `alternating_minimization_batch` over all of them, so a caller that asks
-    for the designs one at a time still pays for a single stacked solve.
+    `problems` holds one (f_com, configs) pair per problem, as for
+    `alternating_minimization_stack`.  The first `report` solves all of them,
+    so a caller that asks for the designs one at a time still pays for a
+    single stacked solve.
     """
 
-    def __init__(self, f_com, f_rad, num_rf_chains: int, configs) -> None:
-        self.f_com = f_com
+    def __init__(self, f_rad, num_rf_chains: int, problems) -> None:
         self.f_rad = f_rad
         self.num_rf_chains = num_rf_chains
-        self.configs = list(configs)
-        self._reports: list[AltMinReport] | None = None
+        self.problems = [(f_com, list(configs)) for f_com, configs in problems]
+        self._reports: list[list[AltMinReport]] | None = None
 
-    def report(self, config: AltMinConfig) -> AltMinReport:
-        """The design of `config`, one of the stack's configs."""
+    def report(self, f_com, config: AltMinConfig) -> AltMinReport:
+        """The design of `config` for the problem whose target is `f_com` (the
+        same object the stack was built with)."""
+        index = next((i for i, (own, _) in enumerate(self.problems) if own is f_com), None)
+        if index is None:
+            raise ValueError("the stack holds a different problem")
         if self._reports is None:
-            self._reports = alternating_minimization_batch(
-                self.f_com, self.f_rad, self.num_rf_chains, self.configs)
-        return self._reports[self.configs.index(config)]
+            self._reports = alternating_minimization_stack(
+                self.problems, self.f_rad, self.num_rf_chains)
+        return self._reports[index][self.problems[index][1].index(config)]
 
 
 def alternating_minimization_batch(f_com, f_rad, num_rf_chains: int,
                                    configs) -> list[AltMinReport]:
-    """`alternating_minimization` for several configs that differ only in `eta`.
+    """`alternating_minimization` for several configs that differ only in `eta`;
+    the one-problem case of `alternating_minimization_stack`.  Reports come
+    back in the order of `configs`."""
+    return alternating_minimization_stack([(f_com, configs)], f_rad, num_rf_chains)[0]
 
-    Every member starts from the same seeded point, and each iteration runs
-    the three block solves once over the stack of members still running,
-    on per-chain block sums only (see the module docstring).  A member leaves
-    the stack at the iteration where its own stopping rule fires, so its
-    report equals, bit for bit, the one a stack holding it alone returns.
-    Its last trace entry is then recomputed from the materialized design, which
-    the report keeps with its fitting errors, and `SolverError` is raised if it
-    differs from the block-sum value by more than 1e-12 * (1 + objective).
-    Reports come back in the order of `configs`.
+
+def alternating_minimization_stack(problems, f_rad,
+                                   num_rf_chains: int) -> list[list[AltMinReport]]:
+    """`alternating_minimization` for several problems, each at several configs.
+
+    `problems` holds (f_com, configs) pairs.  The problems share f_rad, the
+    sizes and every config field but `eta` and `rng_seed`; the configs of one
+    problem differ only in `eta`.  Each problem starts its members from its
+    own seeded point, and each iteration runs the three block solves once
+    over the stack of members still running, on per-chain block sums only
+    (see the module docstring).  A member leaves the stack at the iteration
+    where its own stopping rule fires, so its report equals, bit for bit, the
+    one a stack holding it alone returns.  Its last trace entry is then
+    recomputed from the materialized design, which the report keeps with its
+    fitting errors, and `SolverError` is raised if it differs from the
+    block-sum value by more than 1e-12 * (1 + objective).  A `SolverError`
+    of a member, a `LinAlgError` of its SVD among them, names its eta and
+    carries its problem's index.  Returns one list of reports per problem,
+    each in the order of its configs.
     """
-    configs = list(configs)
-    if not configs:
+    problems = [(np.asarray(f_com, dtype=complex), list(configs)) for f_com, configs in problems]
+    if not problems or not all(configs for _, configs in problems):
         raise ValueError("need at least one config")
-    first = configs[0]
-    if any(replace(c, eta=first.eta) != first for c in configs[1:]):
-        raise ValueError("configs must differ only in eta")
-    f_com = np.asarray(f_com, dtype=complex)
+    first = problems[0][1][0]
+    for _, configs in problems:
+        own = replace(first, rng_seed=configs[0].rng_seed)
+        if any(replace(c, eta=first.eta) != own for c in configs):
+            raise ValueError("configs must differ only in eta (and rng_seed between problems)")
     f_rad = np.asarray(f_rad, dtype=complex)
-    if f_com.ndim != 2 or f_rad.ndim != 2 or f_com.shape[0] != f_rad.shape[0]:
+    shape = problems[0][0].shape
+    if (any(f_com.shape != shape for f_com, _ in problems) or len(shape) != 2
+            or f_rad.ndim != 2 or shape[0] != f_rad.shape[0]):
         raise ValueError("f_com and f_rad must be 2-D with the same number of rows")
-    num_antennas, num_streams = f_com.shape
+    num_antennas, num_streams = shape
     num_targets = f_rad.shape[1]
     if num_rf_chains < 1 or num_antennas % num_rf_chains != 0:
         raise ValueError(f"{num_antennas} antennas not divisible by "
@@ -491,36 +575,46 @@ def alternating_minimization_batch(f_com, f_rad, num_rf_chains: int,
     if num_streams < num_targets:
         raise ValueError("need at least as many streams as radar targets")
 
-    rng = np.random.default_rng(first.rng_seed)
-    analog, baseband, unitary = random_start(
-        num_antennas, num_rf_chains, num_streams, num_targets, first.total_power, rng
-    )
-    count = len(configs)
-    eta = np.array([c.eta for c in configs], dtype=float)
-    targets = _chain_targets(f_com, f_rad, num_rf_chains)
-    offsets = _objective_offsets(targets, num_streams, eta, first.total_power)
+    # members are grouped by problem, and stay so as some leave
+    counts = [len(configs) for _, configs in problems]
+    targets = np.stack([_chain_targets(f_com, f_rad, num_rf_chains) for f_com, _ in problems])
+    starts, eta, offsets, values = [], [], [], []
+    for (f_com, configs), problem_targets in zip(problems, targets):
+        rng = np.random.default_rng(configs[0].rng_seed)
+        analog, baseband, unitary = random_start(
+            num_antennas, num_rf_chains, num_streams, num_targets, first.total_power, rng)
+        weights = np.array([c.eta for c in configs], dtype=float)
+        starts.append((np.exp(-1j * analog.phases), baseband.matrix))
+        eta.append(weights)
+        offsets.append(_objective_offsets(problem_targets, num_streams, weights,
+                                          first.total_power))
+        values.append(objective(analog, baseband, unitary, f_com, f_rad, weights))
+    problem_of = np.repeat(np.arange(len(problems)), counts)
+    eta, offsets, values = (np.concatenate(a) for a in (eta, offsets, values))
+    _check_finite_objective(values, eta, problem_of)
+    phasors, basebands = (np.repeat(np.stack(a), counts, axis=0) for a in zip(*starts))
     baseband_power = num_rf_chains * first.total_power / num_antennas
-    phases = np.tile(analog.phases, (count, 1))
-    basebands = np.tile(baseband.matrix, (count, 1, 1))
-    # the radar block sums of one iteration's phases feed the next unitary step
-    g_rad = _block_sums(np.exp(-1j * phases), targets)[..., num_streams:]
-    values = objective(analog, baseband, unitary, f_com, f_rad, eta)
-    _check_finite_objective(values, eta)
-    traces = [[value] for value in values.tolist()]  # in the order of `configs`
+    # the radar block sums of one iteration's phasors feed the next unitary step
+    rows = _problem_rows(targets, counts)
+    g_rad = _block_sums(phasors, targets, rows)[..., num_streams:]
+    traces = [[value] for value in values.tolist()]  # indexed like `reports`
     thresholds = first.tolerance * (1.0 + values)
-    members = np.arange(count)  # index into `configs` of each stack entry
-    reports: list[AltMinReport | None] = [None] * count
+    members = np.arange(len(eta))  # index into the flat list of configs of each stack entry
+    reports: list[AltMinReport | None] = [None] * len(eta)
     for step in range(1, first.max_iterations + 1):
-        unitaries = _unitary_step(g_rad, basebands)
+        try:
+            unitaries = _unitary_step(g_rad, basebands)
+        except np.linalg.LinAlgError as exc:
+            raise _unitary_failure(exc, g_rad, basebands, eta, problem_of) from exc
         _check_orthonormal_rows(unitaries)
-        phases = _analog_step(targets, basebands, unitaries, eta, phases)
-        sums = _block_sums(np.exp(-1j * phases), targets)
+        phasors = _analog_step(targets, basebands, unitaries, eta, phasors, rows)
+        sums = _block_sums(phasors, targets, rows)
         basebands, g_norms = _baseband_step(sums, unitaries, eta, num_antennas,
-                                            first.total_power)
+                                            first.total_power, problem_of)
         g_rad = sums[..., num_streams:]
         previous = values
         values = _chain_objective(offsets, g_norms, baseband_power)
-        _check_finite_objective(values, eta)
+        _check_finite_objective(values, eta, problem_of)
         for member, value in zip(members.tolist(), values.tolist()):
             traces[member].append(value)
         converged = np.abs(values - previous) < thresholds
@@ -528,14 +622,16 @@ def alternating_minimization_batch(f_com, f_rad, num_rf_chains: int,
         if not leaving.any():
             continue
         for i in np.flatnonzero(leaving):
+            problem = int(problem_of[i])
             hybrid = HybridBeamformer(
-                AnalogBeamformer(num_antennas, num_rf_chains, phases[i]),
+                AnalogBeamformer(num_antennas, num_rf_chains,
+                                 canonical_phases(-np.angle(phasors[i]))),
                 BasebandBeamformer(basebands[i].copy()),
             )
             final = AuxiliaryUnitary(unitaries[i].copy())
             trace = traces[members[i]]
             product, comm, radar, trace[-1] = _exact_final_objective(
-                hybrid, final, f_com, f_rad, eta[i], trace[-1])
+                hybrid, final, problems[problem][0], f_rad, eta[i], trace[-1], problem)
             reports[members[i]] = AltMinReport(
                 hybrid=hybrid, unitary=final, objective_trace=trace,
                 iterations_used=step, converged=bool(converged[i]),
@@ -544,16 +640,18 @@ def alternating_minimization_batch(f_com, f_rad, num_rf_chains: int,
         stay = ~leaving
         if not stay.any():
             break
-        members, eta, thresholds, offsets, values, phases, basebands, g_rad = (
-            a[stay] for a in (members, eta, thresholds, offsets, values, phases, basebands,
-                              g_rad)
+        members, problem_of, eta, thresholds, offsets, values, phasors, basebands, g_rad = (
+            a[stay] for a in (members, problem_of, eta, thresholds, offsets, values, phasors,
+                              basebands, g_rad)
         )
-    return reports
+        rows = _problem_rows(targets, np.bincount(problem_of, minlength=len(problems)).tolist())
+    stops = np.cumsum([len(configs) for _, configs in problems]).tolist()
+    return [reports[stop - len(configs):stop] for (_, configs), stop in zip(problems, stops)]
 
 
 def _exact_final_objective(hybrid: HybridBeamformer, unitary: AuxiliaryUnitary,
                            f_com: np.ndarray, f_rad: np.ndarray, eta: float,
-                           chain_value: float):
+                           chain_value: float, problem: int = 0):
     """A finished design scored from its materialized product, with the
     objective checked against its block-sum value: (product, comm_error,
     radar_error, objective)."""
@@ -562,5 +660,5 @@ def _exact_final_objective(hybrid: HybridBeamformer, unitary: AuxiliaryUnitary,
     exact = float(exact)
     if not abs(exact - chain_value) <= 1e-12 * (1.0 + exact):
         raise SolverError(f"block-sum objective {chain_value!r} disagrees with the exact "
-                          f"{exact!r} at eta={eta}")
+                          f"{exact!r} at eta={eta}", problem)
     return product, comm, radar, exact

@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +29,10 @@ from . import altmin, channel, metrics, ula
 
 # keeps solver init streams disjoint from channel streams for any sane trial count
 ALTMIN_SEED_OFFSET = 2**32
+
+# trials whose rate-sweep designs are solved as one stack; more would save
+# little time, and the loop's temporaries grow with the stack
+TRIALS_PER_STACK = 5
 
 
 class ConfigError(ValueError):
@@ -112,9 +115,8 @@ class ExperimentConfig:
             raise ConfigError("tolerance must be positive")
         if len(self.beampattern_grid_deg) != 3:
             raise ConfigError("beampattern_grid_deg must be [start, stop, step]")
-        start, stop, step = self.beampattern_grid_deg
         try:
-            ula.angle_grid_deg(start, stop, step)
+            ula.angle_grid_size(*self.beampattern_grid_deg)
         except ValueError as exc:
             raise ConfigError(f"beampattern_grid_deg invalid: {exc}") from exc
 
@@ -184,13 +186,13 @@ class TrialDesign:
 @dataclass(frozen=True)
 class TrialDraw:
     """What the designs of one trial share: its channel, both targets and the
-    stacked solve of the etas it was drawn for."""
+    stacked solve that holds its designs at the etas it was drawn for."""
 
     channel: channel.ChannelRealization
     f_com: np.ndarray
     w_com: np.ndarray
     f_rad: np.ndarray
-    stack: altmin.EtaStack
+    stack: altmin.DesignStack
 
 
 def radar_target(config: ExperimentConfig) -> np.ndarray:
@@ -222,13 +224,22 @@ def _altmin_config(config: ExperimentConfig, eta: float, trial: int) -> altmin.A
     )
 
 
+def _share_stack(config: ExperimentConfig, trials, drawn, f_rad: np.ndarray,
+                 etas) -> list[TrialDraw]:
+    """Draws of `trials` from their (channel, f_com, w_com) `drawn`, sharing one
+    stacked solve of all their designs at `etas`."""
+    stack = altmin.DesignStack(f_rad, config.n_rf, [
+        (f_com, [_altmin_config(config, eta, trial) for eta in etas])
+        for trial, (_, f_com, _) in zip(trials, drawn)])
+    return [TrialDraw(realization, f_com, w_com, f_rad, stack)
+            for realization, f_com, w_com in drawn]
+
+
 def stacked_draw(config: ExperimentConfig, trial: int, f_rad: np.ndarray,
                  etas) -> TrialDraw:
     """The trial's draw with one stacked solve shared by the designs at `etas`."""
-    realization, f_com, w_com = draw_trial(config, trial)
-    stack = altmin.EtaStack(f_com, f_rad, config.n_rf,
-                            [_altmin_config(config, eta, trial) for eta in etas])
-    return TrialDraw(realization, f_com, w_com, f_rad, stack)
+    [draw] = _share_stack(config, [trial], [draw_trial(config, trial)], f_rad, etas)
+    return draw
 
 
 def design_trial(config: ExperimentConfig, eta: float, trial: int,
@@ -248,15 +259,30 @@ def design_trial(config: ExperimentConfig, eta: float, trial: int,
                        f_rad=draw.f_rad, report=report)
 
 
-def _trial_designs(config: ExperimentConfig, trial: int, f_rad: np.ndarray,
-                   etas) -> list[TrialDesign]:
-    """The trial's designs at `etas`, in order, from one draw and one stacked solve."""
+def _chunk_designs(config: ExperimentConfig, trials, f_rad: np.ndarray,
+                   etas) -> list[list[TrialDesign]]:
+    """The designs of each of `trials` at `etas`, in order, from one draw per
+    trial and one stacked solve for the chunk."""
+    drawn, designs = [], []
     try:
-        draw = stacked_draw(config, trial, f_rad, etas)
-        return [design_trial(config, eta, trial, draw) for eta in etas]
+        for trial in trials:
+            drawn.append(draw_trial(config, trial))
+        draws = _share_stack(config, trials, drawn, f_rad, etas)
+        for trial, draw in zip(trials, draws):
+            designs.append([design_trial(config, eta, trial, draw) for eta in etas])
+        return designs
     except (altmin.SolverError, np.linalg.LinAlgError) as exc:
-        # the first design solves every eta of the trial; a solver error names its eta
-        raise altmin.SolverError(f"trial {trial} failed: {exc}") from exc
+        # a solver error carries its problem, which is its trial's place in the
+        # chunk; any other failure belongs to the trial being drawn or designed,
+        # except in the first design, which runs the chunk's stacked solve
+        problem = getattr(exc, "problem", None)
+        if problem is None and len(drawn) < len(trials):
+            problem = len(drawn)
+        elif problem is None and (designs or len(trials) == 1):
+            problem = len(designs)
+        failing = (f"trials {trials[0]}-{trials[-1]}" if problem is None
+                   else f"trial {trials[problem]}")
+        raise altmin.SolverError(f"{failing} failed: {exc}") from exc
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -268,24 +294,39 @@ def _map_trials(worker, tasks, workers: int) -> list:
     workers = _pool_size(workers, len(tasks))
     if workers <= 1:
         return [worker(task) for task in tasks]
+    # imported here: only a pool needs it, and it costs every run time and memory
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # map preserves task order, so reductions cannot depend on scheduling
         return list(pool.map(worker, tasks))
 
 
-def _rate_trial(task) -> dict:
-    config, trial, f_rad = task
-    designs = _trial_designs(config, trial, f_rad, config.eta_values)
-    reports = [design.report for design in designs]
-    return {
-        "rates": [[metrics.achievable_rate(design.channel.matrix, design.report.product,
-                                           design.w_com, snr)
-                   for snr in config.snr_db_values] for design in designs],
-        "comm": [r.comm_error for r in reports],
-        "radar": [r.radar_error for r in reports],
-        "iterations": [r.iterations_used for r in reports],
-        "converged": [r.converged for r in reports],
-    }
+def _trial_chunks(num_trials: int, workers: int) -> list[list[int]]:
+    """Contiguous chunks of at most TRIALS_PER_STACK trials, and at least as
+    many as the pool has workers, with sizes that differ by at most one."""
+    count = max(-(-num_trials // TRIALS_PER_STACK), _pool_size(workers, num_trials))
+    return [chunk.tolist() for chunk in np.array_split(np.arange(num_trials), count)]
+
+
+def _rate_chunk(task) -> list[dict]:
+    """Per-trial rates, errors and iteration counts of a chunk of trials, in trial order."""
+    config, trials, f_rad = task
+    results = []
+    for designs in _chunk_designs(config, trials, f_rad, config.eta_values):
+        reports = [design.report for design in designs]
+        h, w_com = designs[0].channel.matrix, designs[0].w_com
+        products = np.stack([r.product for r in reports])
+        # (snr, eta) from one stacked call per snr, stored as (eta, snr)
+        rates = [metrics.achievable_rate(h, products, w_com, snr)
+                 for snr in config.snr_db_values]
+        results.append({
+            "rates": np.stack(rates, axis=1).tolist(),
+            "comm": [r.comm_error for r in reports],
+            "radar": [r.radar_error for r in reports],
+            "iterations": [r.iterations_used for r in reports],
+            "converged": [r.converged for r in reports],
+        })
+    return results
 
 
 RATE_COLUMNS = ("eta", "snr_db", "mean_rate", "std_rate",
@@ -300,8 +341,8 @@ def run_rate_sweep(config: ExperimentConfig, workers: int = 1):
     fitting errors and iteration counts.
     """
     f_rad = radar_target(config)
-    tasks = [(config, trial, f_rad) for trial in range(config.num_trials)]
-    results = _map_trials(_rate_trial, tasks, workers)
+    tasks = [(config, chunk, f_rad) for chunk in _trial_chunks(config.num_trials, workers)]
+    results = [r for chunk in _map_trials(_rate_chunk, tasks, workers) for r in chunk]
     n = config.num_trials
     rates = np.array([r["rates"] for r in results])        # (trial, eta, snr)
     comm = np.array([r["comm"] for r in results])          # (trial, eta)
@@ -331,7 +372,7 @@ def run_rate_sweep(config: ExperimentConfig, workers: int = 1):
 
 def _beampattern_trial(task) -> dict:
     config, eta, trial, f_rad = task
-    [design] = _trial_designs(config, trial, f_rad, (eta,))
+    [[design]] = _chunk_designs(config, [trial], f_rad, (eta,))
     return {"covariance": ula.covariance_of(design.report.product),
             "converged": design.report.converged}
 
@@ -347,6 +388,12 @@ def run_beampattern(config: ExperimentConfig, eta: float,
     covariance is averaged over all `num_trials` trials before evaluating the
     pattern.  Returns (columns, rows, header, info).
     """
+    try:
+        grid = ula.angle_grid_deg(*config.beampattern_grid_deg)
+    except MemoryError as exc:
+        size = ula.angle_grid_size(*config.beampattern_grid_deg)
+        raise ConfigError(f"beampattern_grid_deg has {size} points, more than this "
+                          f"machine can hold") from exc
     trials = range(config.num_trials) if average_trials else range(1)
     f_rad = radar_target(config)
     tasks = [(config, eta, trial, f_rad) for trial in trials]
@@ -356,7 +403,6 @@ def run_beampattern(config: ExperimentConfig, eta: float,
     for r in results[1:]:
         covariance += r["covariance"]
     covariance /= len(results)
-    grid = ula.angle_grid_deg(*config.beampattern_grid_deg)
     gains = ula.beampattern(covariance, ula.UlaConfig(config.n_tx), np.deg2rad(grid))
     rows = list(zip(grid.tolist(), gains.tolist()))
     header = {
@@ -376,7 +422,7 @@ CONVERGENCE_COLUMNS = ("iteration", "objective")
 
 def run_convergence(config: ExperimentConfig, eta: float):
     """Objective trace of a single seeded run (trial 0)."""
-    [design] = _trial_designs(config, 0, radar_target(config), (eta,))
+    [[design]] = _chunk_designs(config, [0], radar_target(config), (eta,))
     rows = [(k, value) for k, value in enumerate(design.report.objective_trace)]
     info = {"converged_runs": int(design.report.converged), "total_runs": 1,
             "iterations_used": design.report.iterations_used}

@@ -7,21 +7,28 @@ import math
 import numpy as np
 
 
-def achievable_rate(h, f, w, snr_db: float) -> float:
+def achievable_rate(h, f, w, snr_db: float):
     """Spectral efficiency of equal-power Gaussian streams through `f` and combiner `w`.
 
     Computes log2 det(I + (snr / num_streams) (W^H W)^-1 W^H H F F^H H^H W)
     with snr = 10^(snr_db / 10).  The inverse is applied through a Cholesky
     whitening of W^H W, and the determinant argument is symmetrized before the
     eigenvalue solve so roundoff cannot produce a negative log argument.
+
+    `f` may also be a stack of precoders (..., num_tx, num_streams) for the
+    one channel and combiner; W^H W, its Cholesky factor and W^H H are then
+    formed once, and the result is an array over the stack whose entries
+    equal the 2-D results of their members.
     """
     h = np.asarray(h)
     f = np.asarray(f)
     w = np.asarray(w)
     n_rx, n_tx = h.shape
-    num_streams = f.shape[1]
-    if f.shape[0] != n_tx:
-        raise ValueError(f"precoder rows ({f.shape[0]}) must match transmit antennas ({n_tx})")
+    if f.ndim < 2:
+        raise ValueError(f"precoder must be at least 2-D, got shape {f.shape}")
+    num_streams = f.shape[-1]
+    if f.shape[-2] != n_tx:
+        raise ValueError(f"precoder rows ({f.shape[-2]}) must match transmit antennas ({n_tx})")
     if w.shape != (n_rx, num_streams):
         raise ValueError(f"combiner must be {(n_rx, num_streams)}, got {w.shape}")
     snr = 10.0 ** (snr_db / 10.0)
@@ -29,11 +36,12 @@ def achievable_rate(h, f, w, snr_db: float) -> float:
     gram = (gram + gram.conj().T) / 2
     # fails with LinAlgError when the combiner is rank deficient
     chol = np.linalg.cholesky(gram)
-    whitened = np.linalg.solve(chol, w.conj().T @ h @ f)
-    signal = whitened @ whitened.conj().T
-    signal = (signal + signal.conj().T) / 2
+    whitened = np.linalg.solve(chol, (w.conj().T @ h) @ f)
+    signal = whitened @ whitened.conj().swapaxes(-1, -2)
+    signal = (signal + signal.conj().swapaxes(-1, -2)) / 2
     eigs = np.clip(np.linalg.eigvalsh(signal), 0.0, None)
-    return float(np.sum(np.log2(1.0 + (snr / num_streams) * eigs)))
+    rates = np.sum(np.log2(1.0 + (snr / num_streams) * eigs), axis=-1)
+    return float(rates) if rates.ndim == 0 else rates
 
 
 def fitting_errors(f_hybrid, f_com, f_rad_u, eta):

@@ -135,11 +135,17 @@ def covariance_of(f: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def angle_grid_deg(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarray:
-    """Inclusive degree grid from `start_deg` to `stop_deg` in `step_deg` steps."""
+def angle_grid_size(start_deg: float, stop_deg: float, step_deg: float) -> int:
+    """Number of points of `angle_grid_deg(start_deg, stop_deg, step_deg)`,
+    checked without forming the grid."""
     if not step_deg > 0:
         raise ValueError("step_deg must be positive")
     count = int(round((stop_deg - start_deg) / step_deg))
     if count < 0 or abs(start_deg + count * step_deg - stop_deg) > 1e-9:
         raise ValueError("step_deg must evenly divide the [start_deg, stop_deg] span")
-    return start_deg + step_deg * np.arange(count + 1)
+    return count + 1
+
+
+def angle_grid_deg(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarray:
+    """Inclusive degree grid from `start_deg` to `stop_deg` in `step_deg` steps."""
+    return start_deg + step_deg * np.arange(angle_grid_size(start_deg, stop_deg, step_deg))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ import pytest
 from dfrcbeam.altmin import (
     AltMinConfig,
     AuxiliaryUnitary,
-    EtaStack,
+    DesignStack,
     SolverError,
     alternating_minimization,
     alternating_minimization_batch,
+    alternating_minimization_stack,
     objective,
     random_start,
     solve_analog,
@@ -529,6 +531,94 @@ def test_batch_does_not_size_its_trace_by_max_iterations():
         assert_same_report(report, expected)
 
 
+def test_stack_members_report_as_their_one_member_runs():
+    f_com, f_rad = toy_problem(70)
+    other, _ = toy_problem(76)
+    etas = (0.0, 0.6, 1.0)
+    problems = [(f_com, [AltMinConfig(eta=eta, total_power=3.0, tolerance=1e-6,
+                                      max_iterations=30, rng_seed=8) for eta in etas]),
+                (other, [AltMinConfig(eta=eta, total_power=3.0, tolerance=1e-6,
+                                      max_iterations=30, rng_seed=9) for eta in etas[:2]])]
+    reports = alternating_minimization_stack(problems, f_rad, 4)
+    assert [len(r) for r in reports] == [3, 2]
+    for (target, configs), problem_reports in zip(problems, reports):
+        for config, report in zip(configs, problem_reports):
+            assert_same_report(report, alternating_minimization(target, f_rad, 4, config))
+
+
+def test_stack_names_the_problem_of_a_non_finite_member():
+    f_com, f_rad = toy_problem(72)
+    huge = np.full_like(f_com, 1e308)
+    problems = [(target, [AltMinConfig(eta=eta, total_power=3.0, rng_seed=seed)
+                          for eta in (0.0, 0.8)])
+                for seed, target in enumerate((f_com, huge, f_com))]
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match=r"eta=0\.8$") as caught:
+        alternating_minimization_stack(problems, f_rad, 4)
+    assert caught.value.problem == 1
+
+
+def test_stack_names_the_problem_of_a_member_that_fails_in_the_loop(monkeypatch):
+    import dfrcbeam.altmin as altmin_module
+    f_com, f_rad = toy_problem(74)
+    other, _ = toy_problem(77)
+    problems = [(target, [AltMinConfig(eta=eta, total_power=3.0, rng_seed=seed)
+                          for eta in (0.3, 0.6)])
+                for seed, target in enumerate((f_com, other))]
+    original = altmin_module._chain_objective
+    calls = []
+
+    def spoiled(*args):
+        result = original(*args)
+        calls.append(1)
+        if len(calls) == 2:
+            result = result.copy()
+            result[3] = math.nan  # the second member of problem 1
+        return result
+
+    monkeypatch.setattr(altmin_module, "_chain_objective", spoiled)
+    with pytest.raises(SolverError, match=r"non-finite objective at eta=0\.6$") as caught:
+        alternating_minimization_stack(problems, f_rad, 4)
+    assert caught.value.problem == 1
+    assert len(calls) == 2
+
+
+def test_stack_names_the_problem_of_a_member_whose_svd_fails(monkeypatch):
+    f_com, f_rad = toy_problem(74)
+    other, _ = toy_problem(77)
+    problems = [(target, [AltMinConfig(eta=eta, total_power=3.0, rng_seed=seed)
+                          for eta in (0.3, 0.6)])
+                for seed, target in enumerate((f_com, other))]
+    original = np.linalg.svd
+    calls, spoiled = [], []
+
+    def failing(a, *args, **kwargs):
+        calls.append(len(a))
+        if len(calls) == 2:
+            spoiled.append(a[3].copy())  # the second member of problem 1
+        if spoiled and any(np.array_equal(m, spoiled[0]) for m in a):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    with pytest.raises(SolverError, match=r"^SVD did not converge at eta=0\.6$") as caught:
+        alternating_minimization_stack(problems, f_rad, 4)
+    assert caught.value.problem == 1
+    # the stacked call, then one call per member to find the failing one
+    assert calls == [4, 4, 1, 1, 1, 1]
+
+
+def test_stack_rejects_problems_that_differ_beyond_eta_and_seed():
+    f_com, f_rad = toy_problem(71)
+    base = AltMinConfig(eta=0.5, total_power=3.0, rng_seed=1)
+    alternating_minimization_stack(
+        [(f_com, [base]), (f_com, [replace(base, rng_seed=2, eta=0.1)])], f_rad, 4)
+    with pytest.raises(ValueError, match="only in eta"):
+        alternating_minimization_stack(
+            [(f_com, [base]), (f_com, [replace(base, tolerance=1e-3)])], f_rad, 4)
+    with pytest.raises(ValueError):
+        alternating_minimization_stack([(f_com, [base]), (f_com[:6], [base])], f_rad, 4)
+
+
 def test_batch_rejects_configs_that_differ_beyond_eta():
     f_com, f_rad = toy_problem(71)
     base = AltMinConfig(eta=0.5, total_power=3.0, rng_seed=1)
@@ -608,10 +698,10 @@ def test_chain_objective_matches_the_exact_one_at_exit(monkeypatch):
             alternating_minimization_batch(f_com, f_rad, 4, configs)
 
 
-def test_eta_stack_solves_once_for_all_its_designs(monkeypatch):
+def test_design_stack_solves_once_for_all_its_designs(monkeypatch):
     import dfrcbeam.altmin as altmin_module
     calls = []
-    original = altmin_module.alternating_minimization_batch
+    original = altmin_module.alternating_minimization_stack
 
     def counted(*args):
         calls.append(1)
@@ -620,8 +710,8 @@ def test_eta_stack_solves_once_for_all_its_designs(monkeypatch):
     f_com, f_rad = toy_problem(73)
     configs = [AltMinConfig(eta=eta, total_power=3.0, rng_seed=3) for eta in (0.2, 0.6, 1.0)]
     alone = [alternating_minimization(f_com, f_rad, 4, config) for config in configs]
-    monkeypatch.setattr(altmin_module, "alternating_minimization_batch", counted)
-    stack = EtaStack(f_com, f_rad, 4, configs)
+    monkeypatch.setattr(altmin_module, "alternating_minimization_stack", counted)
+    stack = DesignStack(f_rad, 4, [(f_com, configs)])
     for config, expected in zip(reversed(configs), reversed(alone)):
         assert_same_report(alternating_minimization(f_com, f_rad, 4, config, stack), expected)
     assert len(calls) == 1

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfrcbeam import altmin, metrics
-from dfrcbeam.hybrid import materialize_product, scale_to_power
+from dfrcbeam.hybrid import canonical_phases, materialize_product, scale_to_power
 from dfrcbeam.ula import TWO_PI
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -104,15 +104,18 @@ def check_unitary_step(p: Stack):
         unitaries, lambda i: altmin._unitary_step(g_rad[i:i + 1], p.basebands[i:i + 1]))
 
 
+def analog_step(p: Stack, members=slice(None)):
+    # the step maps phasors e^{-j phi} to phasors; phases are formed as the loop does
+    phasors = altmin._analog_step(p.targets(), p.basebands[members], p.unitaries[members],
+                                  p.eta[members], np.exp(-1j * p.phases[members]))
+    return canonical_phases(-np.angle(phasors))
+
+
 def check_analog_step(p: Stack):
-    targets = p.targets()
-    phases = altmin._analog_step(targets, p.basebands, p.unitaries, p.eta, p.phases)
+    phases = analog_step(p)
     assert np.all((0.0 <= phases) & (phases < TWO_PI))
     assert_not_raised(p.objective(), p.objective(phases=phases))
-    assert_matches_stacks_of_one(
-        phases, lambda i: altmin._analog_step(targets, p.basebands[i:i + 1],
-                                              p.unitaries[i:i + 1], p.eta[i:i + 1],
-                                              p.phases[i:i + 1]))
+    assert_matches_stacks_of_one(phases, lambda i: analog_step(p, slice(i, i + 1)))
 
 
 def baseband_step(p: Stack, members=slice(None)):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -304,17 +305,22 @@ def test_every_command_names_a_failed_trial(tmp_path, monkeypatch, capsys, comma
     assert not out.exists()
 
 
-def test_rate_sweep_solves_each_trial_as_one_stack(monkeypatch):
+def test_rate_sweep_solves_each_chunk_as_one_stack(monkeypatch):
     stacks = []
-    original = altmin.alternating_minimization_batch
+    original = altmin.alternating_minimization_stack
 
-    def recorded(f_com, f_rad, num_rf_chains, configs):
-        stacks.append([c.eta for c in configs])
-        return original(f_com, f_rad, num_rf_chains, configs)
+    def recorded(problems, f_rad, num_rf_chains):
+        stacks.append([[c.eta for c in configs] for _, configs in problems])
+        return original(problems, f_rad, num_rf_chains)
 
-    monkeypatch.setattr(altmin, "alternating_minimization_batch", recorded)
-    run_rate_sweep(toy_config(num_trials=3, eta_values=[0.2, 0.5, 0.8, 1.0]))
-    assert stacks == [[0.2, 0.5, 0.8, 1.0]] * 3
+    monkeypatch.setattr(altmin, "alternating_minimization_stack", recorded)
+    etas = [0.2, 0.5, 0.8, 1.0]
+    run_rate_sweep(toy_config(num_trials=3, eta_values=etas))
+    assert stacks == [[etas] * 3]
+    stacks.clear()
+    # at most TRIALS_PER_STACK trials per stack, in chunks of even size
+    run_rate_sweep(toy_config(num_trials=7, eta_values=etas))
+    assert stacks == [[etas] * 4, [etas] * 3]
 
 
 def test_rate_sweep_names_trial_and_eta_of_a_non_finite_member(monkeypatch):
@@ -332,6 +338,86 @@ def test_rate_sweep_names_trial_and_eta_of_a_non_finite_member(monkeypatch):
     with np.errstate(all="ignore"), pytest.raises(altmin.SolverError,
                                                   match=r"trial 1 .*eta=0\.8"):
         run_rate_sweep(toy_config(num_trials=2, eta_values=[0.0, 0.8]))
+
+
+def test_a_failing_member_names_its_trial_within_the_chunk(monkeypatch):
+    import dfrcbeam.cli as cli_module
+    original = cli_module.draw_trial
+
+    def overflowing(cfg, trial):
+        realization, f_com, w_com = original(cfg, trial)
+        if trial == 1:
+            f_com = np.full_like(f_com, 1e308)
+        return realization, f_com, w_com
+
+    monkeypatch.setattr(cli_module, "draw_trial", overflowing)
+    with np.errstate(all="ignore"), pytest.raises(altmin.SolverError) as caught:
+        run_rate_sweep(toy_config(num_trials=3, eta_values=[0.0, 0.8]))
+    # the start objective of trial 1 overflows at both etas
+    assert str(caught.value) == "trial 1 failed: non-finite objective at eta=0.0, eta=0.8"
+
+
+def test_a_stack_failure_without_a_member_names_the_chunk(monkeypatch):
+    def failing(problems, f_rad, num_rf_chains):
+        raise np.linalg.LinAlgError("synthetic failure")
+
+    monkeypatch.setattr(altmin, "alternating_minimization_stack", failing)
+    with pytest.raises(altmin.SolverError) as caught:
+        run_rate_sweep(toy_config(num_trials=3, eta_values=[0.0, 0.8]))
+    assert str(caught.value) == "trials 0-2 failed: synthetic failure"
+
+
+def test_chunk_designs_equal_design_trial_bit_for_bit():
+    import dfrcbeam.cli as cli_module
+    config = toy_config(eta_values=[0.0, 0.4, 0.9], num_trials=3)
+    chunk = cli_module._chunk_designs(config, [0, 1, 2], radar_target(config),
+                                      config.eta_values)
+    # one stack holds all three trials
+    assert len({id(design.report) for designs in chunk for design in designs}) == 9
+    for trial, designs in enumerate(chunk):
+        for eta, design in zip(config.eta_values, designs):
+            alone = design_trial(config, eta, trial)
+            assert_same_report(design.report, alone.report)
+            assert np.array_equal(design.report.product, alone.report.product)
+            assert np.array_equal(design.f_com, alone.f_com)
+
+
+def test_rate_sweep_forms_phases_once_per_design(monkeypatch):
+    calls = []
+    original = altmin.canonical_phases
+
+    def counted(phases):
+        calls.append(np.shape(phases))
+        return original(phases)
+
+    monkeypatch.setattr(altmin, "canonical_phases", counted)
+    config = toy_config(num_trials=3, eta_values=[0.2, 0.5, 0.8, 1.0])
+    run_rate_sweep(config)
+    assert calls == [(config.n_tx,)] * 12
+
+
+@pytest.mark.parametrize("trials_per_stack", [1, 3, 5])
+def test_rate_sweep_bytes_do_not_depend_on_chunking(tmp_path, monkeypatch, trials_per_stack):
+    import dfrcbeam.cli as cli_module
+    config_path = write_toy_config(tmp_path, num_trials=7)
+    expected = tmp_path / "expected.csv"
+    assert main(["rate-sweep", "--config", str(config_path), "--out", str(expected)]) == 0
+    monkeypatch.setattr(cli_module, "TRIALS_PER_STACK", trials_per_stack)
+    for workers in (1, 2, 3):
+        out = tmp_path / f"workers_{workers}.csv"
+        assert main(["rate-sweep", "--config", str(config_path), "--workers", str(workers),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    code = ("import sys, dfrcbeam.cli; "
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class RecordingPool:
@@ -362,7 +448,7 @@ class RecordingPool:
 def test_map_trials_bounds_the_pool(monkeypatch, workers, tasks, cpus, expected):
     import dfrcbeam.cli as cli_module
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli_module.os, "cpu_count", lambda: cpus)
     results = cli_module._map_trials(lambda x: x * x, list(range(tasks)), workers)
     assert results == [x * x for x in range(tasks)]
@@ -377,7 +463,7 @@ def test_map_trials_bounds_the_pool(monkeypatch, workers, tasks, cpus, expected)
 def test_sidecar_records_the_workers_used(tmp_path, monkeypatch, args, expected):
     import dfrcbeam.cli as cli_module
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 4)
     out = tmp_path / "x.csv"
     config_path = write_toy_config(tmp_path)
@@ -558,6 +644,26 @@ def test_cli_rejects_non_finite_config_values(tmp_path, capsys, command, field, 
     out = tmp_path / "x.csv"
     assert main([*command, "--config", str(config_path), "--out", str(out)]) == 2
     assert f"{field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["rate-sweep"], ["convergence", "--eta", "0.5"]],
+                         ids=["rate-sweep", "convergence"])
+def test_commands_without_a_pattern_ignore_its_grid_size(tmp_path, command):
+    # 1.8e11 points: validation counts them instead of forming the grid
+    config_path = write_toy_config(tmp_path, num_trials=1,
+                                   beampattern_grid_deg=[-90.0, 90.0, 1e-9])
+    out = tmp_path / "x.csv"
+    assert main([*command, "--config", str(config_path), "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def test_beampattern_rejects_a_grid_it_cannot_hold(tmp_path, capsys):
+    config_path = write_toy_config(tmp_path, beampattern_grid_deg=[-90.0, 90.0, 1e-9])
+    out = tmp_path / "x.csv"
+    assert main(["beampattern", "--eta", "0.5", "--config", str(config_path),
+                 "--out", str(out)]) == 2
+    assert "180000000001 points" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -77,6 +77,19 @@ def test_rate_with_svd_beamformers_matches_diagonal_identity():
         assert abs(achievable_rate(h, f, w, snr_db) - expected) <= 1e-8
 
 
+@pytest.mark.parametrize("n_rx, n_tx, streams", [(2, 12, 2), (6, 120, 6), (16, 64, 12)])
+def test_stacked_rate_equals_its_two_dimensional_calls(n_rx, n_tx, streams):
+    rng = np.random.default_rng(50 + streams)
+    h = crandn(rng, (n_rx, n_tx))
+    w = crandn(rng, (n_rx, streams))
+    stack = crandn(rng, (4, 3, n_tx, streams))
+    for snr_db in (-10.0, 0.0, 20.0):
+        rates = achievable_rate(h, stack, w, snr_db)
+        assert rates.shape == (4, 3)
+        expected = [[achievable_rate(h, f, w, snr_db) for f in row] for row in stack]
+        assert np.array_equal(rates, np.array(expected))
+
+
 def test_rate_rejects_rank_deficient_combiner():
     h = np.eye(3, dtype=complex)
     f = np.eye(3, dtype=complex)[:, :2]
