@@ -12,7 +12,7 @@ from .altmin import (
     AuxiliaryUnitary,
     SolverError,
     alternating_minimization,
-    alternating_minimization_batch,
+    alternating_minimization_stack,
 )
 from .channel import ChannelParams, ChannelRealization, generate_channel, optimal_digital_beamformers
 from .hybrid import AnalogBeamformer, BasebandBeamformer, HybridBeamformer, normalize_power
@@ -35,7 +35,7 @@ __all__ = [
     "UlaConfig",
     "achievable_rate",
     "alternating_minimization",
-    "alternating_minimization_batch",
+    "alternating_minimization_stack",
     "beampattern",
     "covariance_of",
     "fitting_errors",

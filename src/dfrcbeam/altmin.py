@@ -16,11 +16,12 @@ Each of the three blocks admits an exact solve with the others fixed
 in `alternating_minimization` produces a non-increasing objective sequence.
 
 Every block solve is a per-antenna or per-chain array operation, so each is
-implemented once on a stack of members; `alternating_minimization_stack`
-cycles the members of several problems that share f_rad, each at several
-`eta`, and `alternating_minimization_batch` (one problem), the single design
-and the public 2-D solves are its special cases.  The loop state is the unit
-phasor e^{-j phi} of each antenna; phases are formed once, as a member leaves.
+implemented once on a stack of members; `alternating_minimization_stack` is
+the one loop.  It cycles the members of several problems that share f_rad,
+each at several `eta`; the single design and the public 2-D solves are its
+special cases, and a `DesignStack` keeps its reports for lookup one design at
+a time.  The loop state is the unit phasor e^{-j phi} of each antenna; phases
+are formed once, as a member leaves.
 
 The loop never forms the N x S hybrid product or a mixed target.  The analog
 stage has unit-modulus entries on disjoint blocks, so F_RF^H F_RF is a
@@ -487,30 +488,28 @@ def alternating_minimization(f_com, f_rad, num_rf_chains: int, config: AltMinCon
     `alternating_minimization_stack`.
 
     `stack` passes a `DesignStack` that holds this design among others; the
-    design is then taken from its shared stacked solve, which is bit for bit
-    the same as solving it alone.
+    design is then looked up in its stacked solve, which is bit for bit the
+    same as solving it alone.
     """
     if stack is None:
-        return alternating_minimization_batch(f_com, f_rad, num_rf_chains, [config])[0]
+        return alternating_minimization_stack([(f_com, [config])], f_rad, num_rf_chains)[0][0]
     if f_rad is not stack.f_rad or num_rf_chains != stack.num_rf_chains:
         raise ValueError("the stack holds a different problem")
     return stack.report(f_com, config)
 
 
 class DesignStack:
-    """Designs of several problems that share f_rad, solved as one stack on first use.
+    """Designs of several problems that share f_rad, solved as one stack when built.
 
     `problems` holds one (f_com, configs) pair per problem, as for
-    `alternating_minimization_stack`.  The first `report` solves all of them,
-    so a caller that asks for the designs one at a time still pays for a
-    single stacked solve.
+    `alternating_minimization_stack`; `report` looks up one design.
     """
 
     def __init__(self, f_rad, num_rf_chains: int, problems) -> None:
         self.f_rad = f_rad
         self.num_rf_chains = num_rf_chains
         self.problems = [(f_com, list(configs)) for f_com, configs in problems]
-        self._reports: list[list[AltMinReport]] | None = None
+        self.reports = alternating_minimization_stack(self.problems, f_rad, num_rf_chains)
 
     def report(self, f_com, config: AltMinConfig) -> AltMinReport:
         """The design of `config` for the problem whose target is `f_com` (the
@@ -518,18 +517,7 @@ class DesignStack:
         index = next((i for i, (own, _) in enumerate(self.problems) if own is f_com), None)
         if index is None:
             raise ValueError("the stack holds a different problem")
-        if self._reports is None:
-            self._reports = alternating_minimization_stack(
-                self.problems, self.f_rad, self.num_rf_chains)
-        return self._reports[index][self.problems[index][1].index(config)]
-
-
-def alternating_minimization_batch(f_com, f_rad, num_rf_chains: int,
-                                   configs) -> list[AltMinReport]:
-    """`alternating_minimization` for several configs that differ only in `eta`;
-    the one-problem case of `alternating_minimization_stack`.  Reports come
-    back in the order of `configs`."""
-    return alternating_minimization_stack([(f_com, configs)], f_rad, num_rf_chains)[0]
+        return self.reports[index][self.problems[index][1].index(config)]
 
 
 def alternating_minimization_stack(problems, f_rad,

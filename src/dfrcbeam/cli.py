@@ -128,35 +128,45 @@ class ExperimentConfig:
         return doc
 
 
-_INT_FIELDS = {"n_tx", "n_rx", "n_streams", "n_rf", "n_paths", "num_trials",
-               "base_seed", "max_iterations"}
-_SEQ_FIELDS = {"target_angles_deg", "eta_values", "snr_db_values", "beampattern_grid_deg"}
+def _is_number(value) -> bool:
+    """A JSON number: an int or float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _to_float(name: str, value) -> float:
+    try:
+        return float(value)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ConfigError(f"{name} is out of range") from exc
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    """The config of a parsed JSON document.  Each field takes the kind of its
+    default: a list of numbers, an integer or a number; only `total_power`
+    may be null."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = sorted(set(doc) - known)
+    defaults = ExperimentConfig()
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(defaults)})
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
     kwargs = {}
     for name, value in doc.items():
-        try:
-            if name in _INT_FIELDS:
-                if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                    raise ConfigError(f"{name} must be an integer, got {value!r}")
-                kwargs[name] = int(value)
-            elif name in _SEQ_FIELDS:
-                kwargs[name] = tuple(float(x) for x in value)
-            elif value is None and name == "total_power":
-                kwargs[name] = None  # the default: n_rx
-            else:
-                kwargs[name] = float(value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config field {name} is malformed: {exc}") from exc
+        default = getattr(defaults, name)
+        if value is None and name == "total_power":
+            kwargs[name] = None  # the default: n_rx
+        elif isinstance(default, tuple):
+            if not isinstance(value, list) or not all(_is_number(x) for x in value):
+                raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+            kwargs[name] = tuple(_to_float(name, x) for x in value)
+        elif isinstance(default, int):
+            if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            kwargs[name] = int(value)
+        elif not _is_number(value):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        else:
+            kwargs[name] = _to_float(name, value)
     return ExperimentConfig(**kwargs)
 
 
@@ -186,7 +196,7 @@ class TrialDesign:
 @dataclass(frozen=True)
 class TrialDraw:
     """What the designs of one trial share: its channel, both targets and the
-    stacked solve that holds its designs at the etas it was drawn for."""
+    solved stack that holds its designs."""
 
     channel: channel.ChannelRealization
     f_com: np.ndarray
@@ -224,34 +234,17 @@ def _altmin_config(config: ExperimentConfig, eta: float, trial: int) -> altmin.A
     )
 
 
-def _share_stack(config: ExperimentConfig, trials, drawn, f_rad: np.ndarray,
-                 etas) -> list[TrialDraw]:
-    """Draws of `trials` from their (channel, f_com, w_com) `drawn`, sharing one
-    stacked solve of all their designs at `etas`."""
-    stack = altmin.DesignStack(f_rad, config.n_rf, [
-        (f_com, [_altmin_config(config, eta, trial) for eta in etas])
-        for trial, (_, f_com, _) in zip(trials, drawn)])
-    return [TrialDraw(realization, f_com, w_com, f_rad, stack)
-            for realization, f_com, w_com in drawn]
-
-
-def stacked_draw(config: ExperimentConfig, trial: int, f_rad: np.ndarray,
-                 etas) -> TrialDraw:
-    """The trial's draw with one stacked solve shared by the designs at `etas`."""
-    [draw] = _share_stack(config, [trial], [draw_trial(config, trial)], f_rad, etas)
-    return draw
-
-
 def design_trial(config: ExperimentConfig, eta: float, trial: int,
                  draw: TrialDraw | None = None) -> TrialDesign:
     """Run the alternating design for one eta of a trial.
 
-    `draw` passes what the trial's designs share, and must have been drawn for
-    `eta`; without it the trial is drawn for `eta` alone.  A design is the
-    same bit for bit either way.
+    `draw` passes what the trial's designs share, and its stack must hold
+    `eta`; without it the trial is drawn and solved for `eta` alone.  A design
+    is the same bit for bit either way.
     """
     if draw is None:
-        draw = stacked_draw(config, trial, radar_target(config), (eta,))
+        [[design]] = _chunk_designs(config, [trial], radar_target(config), (eta,))
+        return design
     report = altmin.alternating_minimization(
         draw.f_com, draw.f_rad, config.n_rf, _altmin_config(config, eta, trial), draw.stack
     )
@@ -263,26 +256,28 @@ def _chunk_designs(config: ExperimentConfig, trials, f_rad: np.ndarray,
                    etas) -> list[list[TrialDesign]]:
     """The designs of each of `trials` at `etas`, in order, from one draw per
     trial and one stacked solve for the chunk."""
-    drawn, designs = [], []
+    failing = None  # the trial being drawn or designed
     try:
-        for trial in trials:
-            drawn.append(draw_trial(config, trial))
-        draws = _share_stack(config, trials, drawn, f_rad, etas)
-        for trial, draw in zip(trials, draws):
-            designs.append([design_trial(config, eta, trial, draw) for eta in etas])
+        drawn = []
+        for failing in trials:
+            drawn.append(draw_trial(config, failing))
+        failing = None
+        stack = altmin.DesignStack(f_rad, config.n_rf, [
+            (f_com, [_altmin_config(config, eta, trial) for eta in etas])
+            for trial, (_, f_com, _) in zip(trials, drawn)])
+        designs = []
+        for failing, (realization, f_com, w_com) in zip(trials, drawn):
+            draw = TrialDraw(realization, f_com, w_com, f_rad, stack)
+            designs.append([design_trial(config, eta, failing, draw) for eta in etas])
         return designs
     except (altmin.SolverError, np.linalg.LinAlgError) as exc:
-        # a solver error carries its problem, which is its trial's place in the
-        # chunk; any other failure belongs to the trial being drawn or designed,
-        # except in the first design, which runs the chunk's stacked solve
+        # a failure of the stacked solve names its problem, which is its
+        # trial's place in the chunk, if it knows one
         problem = getattr(exc, "problem", None)
-        if problem is None and len(drawn) < len(trials):
-            problem = len(drawn)
-        elif problem is None and (designs or len(trials) == 1):
-            problem = len(designs)
-        failing = (f"trials {trials[0]}-{trials[-1]}" if problem is None
-                   else f"trial {trials[problem]}")
-        raise altmin.SolverError(f"{failing} failed: {exc}") from exc
+        if failing is None and (problem is not None or len(trials) == 1):
+            failing = trials[problem or 0]
+        label = f"trials {trials[0]}-{trials[-1]}" if failing is None else f"trial {failing}"
+        raise altmin.SolverError(f"{label} failed: {exc}") from exc
 
 
 def _pool_size(workers: int, tasks: int) -> int:

@@ -10,7 +10,6 @@ from dfrcbeam.altmin import (
     DesignStack,
     SolverError,
     alternating_minimization,
-    alternating_minimization_batch,
     alternating_minimization_stack,
     objective,
     random_start,
@@ -362,7 +361,7 @@ def test_alternating_minimization_materializes_only_at_start_and_exit(monkeypatc
     calls.clear()
     configs = [AltMinConfig(eta=eta, total_power=3.0, max_iterations=50, rng_seed=4)
                for eta in (0.0, 0.3, 0.6, 0.9, 1.0)]
-    reports = alternating_minimization_batch(f_com, f_rad, 4, configs)
+    reports = alternating_minimization_stack([(f_com, configs)], f_rad, 4)[0]
     assert len({r.iterations_used for r in reports}) > 1
     assert len(calls) == 1 + len(configs)
 
@@ -507,7 +506,7 @@ def test_batch_members_report_as_their_one_member_runs():
     f_com, f_rad = toy_problem(70)
     configs = [AltMinConfig(eta=eta, total_power=3.0, tolerance=1e-6, max_iterations=20,
                             rng_seed=8) for eta in (0.0, 0.3, 0.6, 0.9, 1.0)]
-    reports = alternating_minimization_batch(f_com, f_rad, 4, configs)
+    reports = alternating_minimization_stack([(f_com, configs)], f_rad, 4)[0]
     # members leave at 2, 18 and 20 iterations; two run out of iterations and
     # the last converges on its final allowed one
     assert [(r.iterations_used, r.converged) for r in reports] == [
@@ -523,7 +522,7 @@ def test_batch_does_not_size_its_trace_by_max_iterations():
         configs = [AltMinConfig(eta=eta, total_power=3.0, tolerance=1e-3,
                                 max_iterations=max_iterations, rng_seed=8)
                    for eta in (0.0, 0.6, 1.0)]
-        return alternating_minimization_batch(f_com, f_rad, 4, configs)
+        return alternating_minimization_stack([(f_com, configs)], f_rad, 4)[0]
 
     bounded = run(100)
     assert all(r.converged and r.iterations_used < 100 for r in bounded)
@@ -623,10 +622,10 @@ def test_batch_rejects_configs_that_differ_beyond_eta():
     f_com, f_rad = toy_problem(71)
     base = AltMinConfig(eta=0.5, total_power=3.0, rng_seed=1)
     with pytest.raises(ValueError, match="only in eta"):
-        alternating_minimization_batch(f_com, f_rad, 4, [base, AltMinConfig(
-            eta=0.7, total_power=3.0, rng_seed=2)])
+        alternating_minimization_stack([(f_com, [base, AltMinConfig(
+            eta=0.7, total_power=3.0, rng_seed=2)])], f_rad, 4)
     with pytest.raises(ValueError):
-        alternating_minimization_batch(f_com, f_rad, 4, [])
+        alternating_minimization_stack([(f_com, [])], f_rad, 4)[0]
 
 
 def test_batch_names_the_eta_of_a_non_finite_member():
@@ -635,7 +634,7 @@ def test_batch_names_the_eta_of_a_non_finite_member():
     huge = np.full_like(f_com, 1e308)
     configs = [AltMinConfig(eta=eta, total_power=3.0, rng_seed=1) for eta in (0.0, 0.8)]
     with np.errstate(all="ignore"), pytest.raises(SolverError, match=r"eta=0\.8"):
-        alternating_minimization_batch(huge, f_rad, 4, configs)
+        alternating_minimization_stack([(huge, configs)], f_rad, 4)[0]
 
 
 def counting_calls(monkeypatch, module, name, spoil_at=None):
@@ -665,7 +664,7 @@ def test_batch_rejects_a_non_finite_objective_at_the_start(monkeypatch):
     calls = counting_calls(monkeypatch, metrics_module, "fitting_errors")
     with np.errstate(all="ignore"), pytest.raises(SolverError,
                                                   match=r"non-finite objective at eta=0\.0"):
-        alternating_minimization_batch(f_com, f_rad, 4, [config])
+        alternating_minimization_stack([(f_com, [config])], f_rad, 4)[0]
     assert len(calls) == 1  # before the first iteration
 
 
@@ -678,7 +677,7 @@ def test_batch_rejects_a_non_finite_objective_at_a_later_iteration(monkeypatch):
     in_loop = counting_calls(monkeypatch, altmin_module, "_chain_objective",
                              spoil_at=2)  # after iteration 2
     with pytest.raises(SolverError, match=r"non-finite objective at eta=0\.6$"):
-        alternating_minimization_batch(f_com, f_rad, 4, configs)
+        alternating_minimization_stack([(f_com, configs)], f_rad, 4)[0]
     assert len(in_loop) == 2
     assert len(exact) == 1  # the start only: no member has left
 
@@ -693,9 +692,9 @@ def test_chain_objective_matches_the_exact_one_at_exit(monkeypatch):
                             lambda *args: original(*args) * (1.0 + relative))
         if fails:
             with pytest.raises(SolverError, match="block-sum objective .* disagrees"):
-                alternating_minimization_batch(f_com, f_rad, 4, configs)
+                alternating_minimization_stack([(f_com, configs)], f_rad, 4)[0]
         else:
-            alternating_minimization_batch(f_com, f_rad, 4, configs)
+            alternating_minimization_stack([(f_com, configs)], f_rad, 4)[0]
 
 
 def test_design_stack_solves_once_for_all_its_designs(monkeypatch):
@@ -712,6 +711,7 @@ def test_design_stack_solves_once_for_all_its_designs(monkeypatch):
     alone = [alternating_minimization(f_com, f_rad, 4, config) for config in configs]
     monkeypatch.setattr(altmin_module, "alternating_minimization_stack", counted)
     stack = DesignStack(f_rad, 4, [(f_com, configs)])
+    assert len(calls) == 1  # solved when built
     for config, expected in zip(reversed(configs), reversed(alone)):
         assert_same_report(alternating_minimization(f_com, f_rad, 4, config, stack), expected)
     assert len(calls) == 1

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dfrcbeam.cli import (
     ALTMIN_SEED_OFFSET,
     ConfigError,
     ExperimentConfig,
+    _chunk_designs,
     config_from_dict,
     design_trial,
     load_config,
@@ -21,7 +23,6 @@ from dfrcbeam.cli import (
     run_beampattern,
     run_convergence,
     run_rate_sweep,
-    stacked_draw,
     write_csv,
 )
 
@@ -96,7 +97,18 @@ def test_config_from_dict_rejects_bad_documents():
         config_from_dict({"tolerance": None})  # only total_power may be null
     with pytest.raises(ConfigError):
         config_from_dict(["not", "a", "dict"])
+    # only JSON numbers, and arrays of them, are accepted: no strings or bools
+    bad_values = {"eta_values": ["01", [True, 0.5], [0.5, "1"]], "tolerance": [True, "1e-4"],
+                  "total_power": [True], "n_tx": ["120", True],
+                  "beampattern_grid_deg": [[-90.0, 90.0, True]],
+                  "snr_db_values": [[10**400]]}  # beyond the float range
+    for name, values in bad_values.items():
+        for value in values:
+            with pytest.raises(ConfigError, match=name):
+                config_from_dict({name: value})
     assert config_from_dict({"total_power": None, "n_rx": 4}).total_power == 4.0
+    assert config_from_dict({"tolerance": 1, "n_tx": 120.0}) == ExperimentConfig(
+        tolerance=1.0, n_tx=120)
 
 
 def test_cli_rejects_a_null_tolerance(tmp_path, capsys):
@@ -219,7 +231,7 @@ def test_rate_sweep_draws_each_trial_once_for_all_etas(monkeypatch):
 
 def test_design_trial_on_a_given_draw_matches_its_own_draw():
     config = toy_config()
-    shared = design_trial(config, 0.3, 2, stacked_draw(config, 2, radar_target(config), (0.3,)))
+    [[shared]] = _chunk_designs(config, [2], radar_target(config), (0.3,))
     own = design_trial(config, 0.3, 2)
     assert shared.report.objective_trace == own.report.objective_trace
     np.testing.assert_array_equal(shared.channel.matrix, own.channel.matrix)
@@ -240,8 +252,8 @@ def test_rate_sweep_designs_equal_design_trial_bit_for_bit():
     f_rad = radar_target(config)
     iterations = []
     for trial in range(config.num_trials):
-        draw = stacked_draw(config, trial, f_rad, config.eta_values)
-        reports = [design_trial(config, eta, trial, draw).report for eta in config.eta_values]
+        [designs] = _chunk_designs(config, [trial], f_rad, config.eta_values)
+        reports = [design.report for design in designs]
         assert len({r.iterations_used for r in reports}) > 1
         for eta, report in zip(config.eta_values, reports):
             assert_same_report(report, design_trial(config, eta, trial).report)
@@ -273,12 +285,12 @@ def test_rate_sweep_scores_each_design_once_in_the_exit_check(monkeypatch):
     config = toy_config(num_trials=2, eta_values=[0.0, 0.5, 1.0])
     f_rad = radar_target(config)
     for trial in range(config.num_trials):
-        draw = stacked_draw(config, trial, f_rad, config.eta_values)
-        for eta in config.eta_values:
-            report = design_trial(config, eta, trial, draw).report
+        [designs] = _chunk_designs(config, [trial], f_rad, config.eta_values)
+        for eta, design in zip(config.eta_values, designs):
+            report = design.report
             product = report.hybrid.materialize()
-            comm, radar, _ = metrics.fitting_errors(product, draw.f_com,
-                                                    draw.f_rad @ report.unitary.matrix, eta)
+            comm, radar, _ = metrics.fitting_errors(product, design.f_com,
+                                                    design.f_rad @ report.unitary.matrix, eta)
             assert np.array_equal(report.product, product)
             assert report.comm_error == comm and report.radar_error == radar
 
@@ -365,6 +377,39 @@ def test_a_stack_failure_without_a_member_names_the_chunk(monkeypatch):
     with pytest.raises(altmin.SolverError) as caught:
         run_rate_sweep(toy_config(num_trials=3, eta_values=[0.0, 0.8]))
     assert str(caught.value) == "trials 0-2 failed: synthetic failure"
+    config = toy_config()
+    with pytest.raises(altmin.SolverError) as caught:
+        _chunk_designs(config, [4], radar_target(config), (0.5,))
+    assert str(caught.value) == "trial 4 failed: synthetic failure"
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_failing_design_names_its_trial_within_the_chunk(monkeypatch, failing):
+    import dfrcbeam.cli as cli_module
+    original = cli_module.design_trial
+
+    def boom(cfg, eta, trial, draw=None):
+        if trial == failing and eta == 0.8:
+            raise np.linalg.LinAlgError("synthetic failure")
+        return original(cfg, eta, trial, draw)
+
+    monkeypatch.setattr(cli_module, "design_trial", boom)
+    config = toy_config(eta_values=[0.0, 0.8])
+    with pytest.raises(altmin.SolverError) as caught:
+        _chunk_designs(config, [0, 1, 2], radar_target(config), config.eta_values)
+    assert str(caught.value) == f"trial {failing} failed: synthetic failure"
+
+
+def test_convergence_at_the_trial_seed_replays_the_chunk_design():
+    # the replay the README gives for the design of trial t inside a sweep
+    config = toy_config(eta_values=[0.0, 0.4, 0.9])
+    chunk = _chunk_designs(config, [0, 1, 2], radar_target(config), config.eta_values)
+    for trial, designs in enumerate(chunk):
+        replay = replace(config, base_seed=config.base_seed + trial)
+        for eta, design in zip(config.eta_values, designs):
+            _, rows, info = run_convergence(replay, eta)
+            assert [value for _, value in rows] == design.report.objective_trace
+            assert info["iterations_used"] == design.report.iterations_used
 
 
 def test_chunk_designs_equal_design_trial_bit_for_bit():
