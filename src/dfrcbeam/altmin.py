@@ -52,7 +52,6 @@ from .hybrid import (
     canonical_phases,
     materialize_product,
     normalize_power,
-    scale_to_power,
 )
 from .ula import TWO_PI
 
@@ -394,10 +393,14 @@ def _baseband_step(sums: np.ndarray, unitaries: np.ndarray, eta: np.ndarray,
         raise _member_error("non-finite entries in the baseband target",
                             ~np.isfinite(g).all(axis=(1, 2)), eta, problems)
     norm_sq = np.square(g.view(np.float64)).sum(axis=(1, 2))
+    g_norms = np.sqrt(norm_sq)
     nonzero = norm_sq > 0
     if not nonzero.all():
         g[~nonzero, 0, 0] = 1.0
-    return scale_to_power(g, num_antennas, g.shape[1], total_power), np.sqrt(norm_sq)
+        norm_sq[~nonzero] = 1.0
+    # onto the power sphere, as `scale_to_power` does, by the norms just taken
+    target = g.shape[1] * total_power / num_antennas
+    return g * np.sqrt(target / norm_sq)[:, None, None], g_norms
 
 
 def _objective_offsets(targets: np.ndarray, num_streams: int, eta: np.ndarray,
