@@ -109,6 +109,12 @@ class ExperimentConfig:
             raise ConfigError("eta_values must be a nonempty list of values in [0, 1]")
         if len(self.snr_db_values) == 0:
             raise ConfigError("snr_db_values must not be empty")
+        for snr_db in self.snr_db_values:
+            try:
+                10.0 ** (snr_db / 10.0)  # the linear SNR metrics.achievable_rate forms
+            except OverflowError:
+                raise ConfigError(f"snr_db_values entry {snr_db!r} is too large: its "
+                                  f"linear SNR overflows a float") from None
         if not isinstance(self.base_seed, int) or not 0 <= self.base_seed < 2**32:
             raise ConfigError("base_seed must fit in an unsigned 32-bit integer")
         if not self.tolerance > 0:
@@ -366,10 +372,10 @@ def run_rate_sweep(config: ExperimentConfig, workers: int = 1):
 
 
 def _beampattern_trial(task) -> dict:
+    """A trial's N x S hybrid product; the run forms the covariance of all of them."""
     config, eta, trial, f_rad = task
     [[design]] = _chunk_designs(config, [trial], f_rad, (eta,))
-    return {"covariance": ula.covariance_of(design.report.product),
-            "converged": design.report.converged}
+    return {"product": design.report.product, "converged": design.report.converged}
 
 
 BEAMPATTERN_COLUMNS = ("angle_deg", "gain")
@@ -393,10 +399,10 @@ def run_beampattern(config: ExperimentConfig, eta: float,
     f_rad = radar_target(config)
     tasks = [(config, eta, trial, f_rad) for trial in trials]
     results = _map_trials(_beampattern_trial, tasks, workers)
-    # summed in place in trial order, so no (trials, N, N) stack is formed
-    covariance = results[0]["covariance"].copy()
-    for r in results[1:]:
-        covariance += r["covariance"]
+    # sum_t F_t F_t^H is one product of the N x (T S) matrix [F_0 ... F_{T-1}],
+    # so a run makes one covariance product, however many trials it averages
+    products = np.concatenate([r["product"] for r in results], axis=1)
+    covariance = ula.covariance_of(products)
     covariance /= len(results)
     gains = ula.beampattern(covariance, ula.UlaConfig(config.n_tx), np.deg2rad(grid))
     rows = list(zip(grid.tolist(), gains.tolist()))
@@ -458,6 +464,13 @@ def _numeric_environment() -> dict:
     }
 
 
+def _cpu_time() -> float:
+    """User plus system CPU seconds of this process, all its threads (BLAS's
+    too), and its reaped children (a finished run's pool workers)."""
+    times = os.times()
+    return times.user + times.system + times.children_user + times.children_system
+
+
 def write_metadata(path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                           encoding="ascii", newline="")
@@ -495,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    started = time.monotonic()
+    started, cpu_started = time.monotonic(), _cpu_time()
     try:
         config = load_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
@@ -530,6 +543,7 @@ def main(argv=None) -> int:
             "workers": _pool_size(args.workers, trials),
             "altmin_seed_offset": ALTMIN_SEED_OFFSET,
             "wall_time_s": time.monotonic() - started,
+            "cpu_time_s": _cpu_time() - cpu_started,
             "numeric_environment": _numeric_environment(),
             **info,
         }

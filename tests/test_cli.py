@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dfrcbeam import altmin, metrics
+from dfrcbeam import altmin, metrics, ula
 from dfrcbeam.cli import (
     ALTMIN_SEED_OFFSET,
     ConfigError,
@@ -546,6 +546,67 @@ def test_beampattern_average_mode_changes_output():
     assert averaged == averaged_parallel
 
 
+def record_calls(monkeypatch, module, name):
+    """Wraps module.name so each call's first argument is recorded; returns the list."""
+    seen = []
+    original = getattr(module, name)
+
+    def recording(first, *args, **kwargs):
+        seen.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return seen
+
+
+def test_averaged_beampattern_makes_one_covariance_product(monkeypatch):
+    config = toy_config(num_trials=3)
+    products = record_calls(monkeypatch, ula, "covariance_of")
+    run_beampattern(config, eta=0.5, average_trials=True)
+    assert [p.shape for p in products] == [(config.n_tx, 3 * config.n_streams)]
+
+
+def test_beampattern_pool_results_carry_no_covariance(monkeypatch):
+    import dfrcbeam.cli as cli_module
+    config = toy_config(num_trials=3)
+    original = cli_module._map_trials
+    results = []
+
+    def recording(worker, tasks, workers):
+        mapped = original(worker, tasks, workers)
+        results.extend(mapped)
+        return mapped
+
+    monkeypatch.setattr(cli_module, "_map_trials", recording)
+    run_beampattern(config, eta=0.5, average_trials=True, workers=2)
+    assert len(results) == 3
+    for result in results:
+        arrays = [v for v in result.values() if isinstance(v, np.ndarray)]
+        assert [a.shape for a in arrays] == [(config.n_tx, config.n_streams)]
+
+
+def test_averaged_covariance_is_the_mean_of_the_trial_covariances(monkeypatch):
+    config = toy_config(num_trials=4)
+    covariances = record_calls(monkeypatch, ula, "beampattern")
+    run_beampattern(config, eta=0.5, average_trials=True)
+    monkeypatch.undo()
+    designs = _chunk_designs(config, list(range(4)), radar_target(config), (0.5,))
+    expected = np.mean([ula.covariance_of(d.report.product) for [d] in designs], axis=0)
+    [averaged] = covariances
+    assert np.array_equal(averaged, averaged.conj().T)
+    assert np.linalg.norm(averaged - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_one_trial_beampattern_is_the_pattern_of_its_design_bit_for_bit():
+    config = toy_config()
+    _, rows, _, _ = run_beampattern(config, eta=0.5)
+    [[design]] = _chunk_designs(config, [0], radar_target(config), (0.5,))
+    grid = ula.angle_grid_deg(*config.beampattern_grid_deg)
+    gains = ula.beampattern(ula.covariance_of(design.report.product),
+                            ula.UlaConfig(config.n_tx), np.deg2rad(grid))
+    assert [gain for _, gain in rows] == gains.tolist()
+
+
 def test_convergence_trace_properties():
     config = toy_config()
     columns, rows, info = run_convergence(config, eta=0.5)
@@ -690,6 +751,36 @@ def test_cli_rejects_non_finite_config_values(tmp_path, capsys, command, field, 
     assert main([*command, "--config", str(config_path), "--out", str(out)]) == 2
     assert f"{field} must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("snr_db", [1e308, 3090.0])
+def test_cli_rejects_an_snr_whose_linear_value_overflows(tmp_path, capsys, snr_db):
+    config_path = write_toy_config(tmp_path, snr_db_values=[0.0, snr_db])
+    out = tmp_path / "x.csv"
+    assert main(["rate-sweep", "--config", str(config_path), "--out", str(out)]) == 2
+    assert "snr_db_values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_accepts_an_snr_of_plus_or_minus_3000_db(tmp_path):
+    config_path = write_toy_config(tmp_path, num_trials=2, snr_db_values=[-3000.0, 3000.0])
+    out = tmp_path / "x.csv"
+    assert main(["rate-sweep", "--config", str(config_path), "--out", str(out)]) == 0
+    rates = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+    assert len(rates) == 4 and all(math.isfinite(r) for r in rates)
+
+
+@pytest.mark.parametrize("command", [
+    ["rate-sweep"],
+    ["beampattern", "--eta", "0.5", "--average-trials"],
+    ["convergence", "--eta", "0.5"],
+], ids=["rate-sweep", "beampattern", "convergence"])
+def test_sidecar_records_cpu_time(tmp_path, command):
+    config_path = write_toy_config(tmp_path, num_trials=2)
+    out = tmp_path / "x.csv"
+    assert main([*command, "--config", str(config_path), "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+    assert isinstance(meta["cpu_time_s"], float) and meta["cpu_time_s"] >= 0.0
 
 
 @pytest.mark.parametrize("command", [["rate-sweep"], ["convergence", "--eta", "0.5"]],
