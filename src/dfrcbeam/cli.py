@@ -23,6 +23,18 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# A threaded BLAS spins a pool thread on another core after numpy's import and
+# after each large product, and the channel SVD's bytes depend on its thread
+# count at large n_tx.  So when this module is the one that loads numpy and the
+# environment sets no thread count, the BLAS runs on one thread; --workers is
+# the way to use more cores.  A count the user set is left alone.
+BLAS_THREADS_PINNED = "numpy" not in sys.modules and not any(
+    os.environ.get(name) for name in BLAS_THREAD_VARIABLES)
+if BLAS_THREADS_PINNED:
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
+
 import numpy as np
 
 from . import altmin, channel, metrics, ula
@@ -320,6 +332,11 @@ def _rate_chunk(task) -> list[dict]:
         # (snr, eta) from one stacked call per snr, stored as (eta, snr)
         rates = [metrics.achievable_rate(h, products, w_com, snr)
                  for snr in config.snr_db_values]
+        for snr, rate in zip(config.snr_db_values, rates):
+            # a linear SNR near the float limit can overflow inside the rate
+            if not np.isfinite(rate).all():
+                raise ConfigError(f"snr_db_values entry {snr!r} is too large: its "
+                                  f"rates are not finite")
         results.append({
             "rates": np.stack(rates, axis=1).tolist(),
             "comm": [r.comm_error for r in reports],
@@ -458,8 +475,7 @@ def _numeric_environment() -> dict:
         "numpy": np.__version__,
         "blas_name": blas.get("name"),
         "blas_version": blas.get("version"),
-        "thread_env": {name: os.environ.get(name) for name in
-                       ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "thread_env": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         "cpu_count": os.cpu_count(),
     }
 
@@ -545,6 +561,7 @@ def main(argv=None) -> int:
             "wall_time_s": time.monotonic() - started,
             "cpu_time_s": _cpu_time() - cpu_started,
             "numeric_environment": _numeric_environment(),
+            "blas_threads_pinned": BLAS_THREADS_PINNED,
             **info,
         }
         write_metadata(f"{args.out}.meta.json", meta)

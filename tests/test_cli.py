@@ -843,3 +843,115 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, command):
         assert result.returncode == 0, result.stderr
         outputs[threads] = out.read_bytes()
     assert outputs[1] == outputs[2] == outputs[None]
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def thread_env(**settings):
+    """This process's environment with the BLAS thread variables replaced by `settings`."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env.update(settings)
+    return env
+
+
+def run_python(code, env):
+    """Run `code` in a fresh interpreter; returns its thread variables before
+    and after, and whether numpy got loaded."""
+    probe = ("import json, os, sys\n"
+             f"names = {THREAD_VARIABLES!r}\n"
+             "before = [os.environ.get(n) for n in names]\n"
+             f"{code}\n"
+             "print(json.dumps([before, [os.environ.get(n) for n in names],"
+             " 'numpy' in sys.modules]))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("settings", [{}, {"OMP_NUM_THREADS": ""}], ids=["unset", "empty"])
+def test_the_cli_runs_blas_on_one_thread_unless_told_otherwise(settings):
+    # an empty value sets no count: OpenBLAS would use its default
+    _, after, _ = run_python("import dfrcbeam.cli", thread_env(**settings))
+    assert after == ["1", "1", "1"]
+
+
+@pytest.mark.parametrize("name", THREAD_VARIABLES)
+def test_the_cli_leaves_a_thread_count_the_user_set(name):
+    before, after, _ = run_python("import dfrcbeam.cli", thread_env(**{name: "3"}))
+    assert after == before == [("3" if n == name else None) for n in THREAD_VARIABLES]
+
+
+@pytest.mark.parametrize("code", [
+    "import numpy, dfrcbeam.cli",
+    "import dfrcbeam",
+    "from dfrcbeam import AltMinConfig",
+    "import dfrcbeam.altmin",
+])
+def test_library_imports_leave_the_environment_alone(code):
+    before, after, _ = run_python(code, thread_env())
+    assert after == before == [None, None, None]
+
+
+def test_importing_the_package_loads_no_numpy():
+    _, _, numpy_loaded = run_python("import dfrcbeam", thread_env())
+    assert not numpy_loaded
+    _, _, numpy_loaded = run_python("import dfrcbeam; dfrcbeam.AltMinConfig", thread_env())
+    assert numpy_loaded
+
+
+def test_the_package_exports_its_names_lazily():
+    import dfrcbeam
+    for name in dfrcbeam.__all__:
+        assert getattr(dfrcbeam, name) is getattr(getattr(dfrcbeam, dfrcbeam._MODULE_OF[name]), name)
+    assert set(dfrcbeam.__all__) <= set(dir(dfrcbeam))
+    with pytest.raises(AttributeError):
+        dfrcbeam.no_such_name
+
+
+@pytest.mark.parametrize("settings, pinned, recorded", [
+    ({}, True, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, False, "2"),
+], ids=["unset", "set"])
+def test_sidecar_records_whether_the_blas_threads_were_pinned(tmp_path, settings, pinned,
+                                                               recorded):
+    config_path = write_toy_config(tmp_path, num_trials=2)
+    out = tmp_path / "x.csv"
+    result = subprocess.run(
+        [sys.executable, "-m", "dfrcbeam.cli", "rate-sweep", "--config", str(config_path),
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=300, env=thread_env(**settings),
+    )
+    assert result.returncode == 0, result.stderr
+    meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+    assert meta["blas_threads_pinned"] is pinned
+    assert meta["numeric_environment"]["thread_env"]["OPENBLAS_NUM_THREADS"] == recorded
+
+
+def test_large_array_bytes_with_no_thread_setting_are_the_single_thread_bytes(tmp_path):
+    # the thin channel SVD at n_tx 2400 changes with the BLAS thread count
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"n_tx": 2400, "num_trials": 2, "eta_values": [0.6]}))
+    outputs = {}
+    for label, settings in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / f"{label}.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "dfrcbeam.cli", "rate-sweep", "--config", str(config_path),
+             "--seed", "1", "--out", str(out)],
+            capture_output=True, text=True, timeout=300, env=thread_env(**settings),
+        )
+        assert result.returncode == 0, result.stderr
+        outputs[label] = out.read_bytes()
+    assert outputs["unset"] == outputs["one"]
+
+
+@pytest.mark.parametrize("snr_db", [3080.0, 3082.0])
+def test_cli_rejects_an_snr_whose_rates_overflow(tmp_path, capsys, snr_db):
+    # the linear SNR fits a float, but the rate formula overflows
+    config_path = write_toy_config(tmp_path, num_trials=2, snr_db_values=[0.0, snr_db])
+    out = tmp_path / "x.csv"
+    assert main(["rate-sweep", "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"snr_db_values entry {snr_db!r}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "x.csv.meta.json").exists()
