@@ -140,7 +140,12 @@ def angle_grid_size(start_deg: float, stop_deg: float, step_deg: float) -> int:
     checked without forming the grid."""
     if not step_deg > 0:
         raise ValueError("step_deg must be positive")
-    count = int(round((stop_deg - start_deg) / step_deg))
+    steps = (stop_deg - start_deg) / step_deg
+    # numpy caps an array's bytes at intp's maximum, 8 bytes per float64 point
+    if not abs(steps) < np.iinfo(np.intp).max // 8:
+        raise ValueError(f"[{start_deg!r}, {stop_deg!r}] in steps of {step_deg!r} has "
+                         f"more points than an array can hold")
+    count = int(round(steps))
     if count < 0 or abs(start_deg + count * step_deg - stop_deg) > 1e-9:
         raise ValueError("step_deg must evenly divide the [start_deg, stop_deg] span")
     return count + 1

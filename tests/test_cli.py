@@ -517,6 +517,42 @@ def test_sidecar_records_the_workers_used(tmp_path, monkeypatch, args, expected)
     assert RecordingPool.sizes == ([expected] if expected > 1 else [])
 
 
+def test_trial_chunks_are_the_array_split_of_the_trials(monkeypatch):
+    import dfrcbeam.cli as cli_module
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 8)
+    for num_trials in range(1, 1001):
+        for workers in range(1, 9):
+            count = max(-(-num_trials // cli_module.TRIALS_PER_STACK), min(workers, num_trials))
+            expected = [chunk.tolist() for chunk in np.array_split(np.arange(num_trials), count)]
+            chunks = cli_module._trial_chunks(num_trials, workers)
+            assert [list(chunk) for chunk in chunks] == expected
+
+
+def test_a_failing_chunk_cancels_the_queued_ones(tmp_path, monkeypatch):
+    # the pool's map cancels the chunks no worker has taken once a result
+    # raises; only those already handed to a worker still run
+    import dfrcbeam.cli as cli_module
+    original = cli_module.draw_trial
+    drawn = tmp_path / "drawn"
+    drawn.mkdir()
+
+    def marked(cfg, trial):
+        # the forked workers share the file system, so each trial leaves a marker
+        (drawn / str(trial)).touch()
+        if trial == 0:
+            raise np.linalg.LinAlgError("synthetic failure")
+        return original(cfg, trial)
+
+    monkeypatch.setattr(cli_module, "draw_trial", marked)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 2)
+    config_path = write_toy_config(tmp_path, num_trials=100)
+    out = tmp_path / "x.csv"
+    assert main(["rate-sweep", "--workers", "2", "--config", str(config_path),
+                 "--out", str(out)]) == 3
+    chunks_run = {int(name) // cli_module.TRIALS_PER_STACK for name in os.listdir(drawn)}
+    assert 0 in chunks_run and len(chunks_run) < 100 // cli_module.TRIALS_PER_STACK
+
+
 def test_beampattern_row_count_matches_grid():
     columns, rows, header, info = run_beampattern(toy_config(), eta=0.5)
     assert columns == ("angle_deg", "gain")
