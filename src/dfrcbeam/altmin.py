@@ -534,13 +534,15 @@ def alternating_minimization_stack(problems, f_rad,
     over the stack of members still running, on per-chain block sums only
     (see the module docstring).  A member leaves the stack at the iteration
     where its own stopping rule fires, so its report equals, bit for bit, the
-    one a stack holding it alone returns.  Its last trace entry is then
-    recomputed from the materialized design, which the report keeps with its
-    fitting errors, and `SolverError` is raised if it differs from the
-    block-sum value by more than 1e-12 * (1 + objective).  A `SolverError`
-    of a member, a `LinAlgError` of its SVD among them, names its eta and
-    carries its problem's index.  Returns one list of reports per problem,
-    each in the order of its configs.
+    one a stack holding it alone returns.  Once the last member of a problem
+    has left, the problem's designs are materialized and scored in one pass
+    (`_exit_reports`): each last trace entry is recomputed from the
+    materialized design, which the report keeps with its fitting errors, and
+    `SolverError` is raised if it differs from the block-sum value by more
+    than 1e-13 times the member's objective offset.  A `SolverError` of a
+    member, a `LinAlgError` of its SVD among them, names its eta and carries
+    its problem's index.  Returns one list of reports per problem, each in
+    the order of its configs.
     """
     problems = [(np.asarray(f_com, dtype=complex), list(configs)) for f_com, configs in problems]
     if not problems or not all(configs for _, configs in problems):
@@ -568,6 +570,7 @@ def alternating_minimization_stack(problems, f_rad,
 
     # members are grouped by problem, and stay so as some leave
     counts = [len(configs) for _, configs in problems]
+    stops = list(accumulate(counts))
     targets = np.stack([_chain_targets(f_com, f_rad, num_rf_chains) for f_com, _ in problems])
     starts, eta, offsets, values = [], [], [], []
     for (f_com, configs), problem_targets in zip(problems, targets):
@@ -588,10 +591,17 @@ def alternating_minimization_stack(problems, f_rad,
     # the radar block sums of one iteration's phasors feed the next unitary step
     rows = _problem_rows(targets, counts)
     g_rad = _block_sums(phasors, targets, rows)[..., num_streams:]
-    traces = [[value] for value in values.tolist()]  # indexed like `reports`
+    traces = [[value] for value in values.tolist()]  # indexed like the flat list of configs
     thresholds = first.tolerance * (1.0 + values)
     members = np.arange(len(eta))  # index into the flat list of configs of each stack entry
-    reports: list[AltMinReport | None] = [None] * len(eta)
+    # a member that leaves parks copies of its final state at its index in the
+    # flat list of configs (never views, which would keep each iteration's
+    # arrays alive); its problem is scored once its last member has left
+    config_eta, config_offsets, unfinished = eta, offsets, np.array(counts)
+    parked_phasors, parked_basebands = np.empty_like(phasors), np.empty_like(basebands)
+    parked_unitaries = np.empty((len(eta), num_targets, num_streams), dtype=complex)
+    parked_converged = np.empty(len(eta), dtype=bool)
+    reports: list[list[AltMinReport] | None] = [None] * len(problems)
     for step in range(1, first.max_iterations + 1):
         try:
             unitaries = _unitary_step(g_rad, basebands)
@@ -612,22 +622,19 @@ def alternating_minimization_stack(problems, f_rad,
         leaving = converged if step < first.max_iterations else np.ones(len(members), bool)
         if not leaving.any():
             continue
-        for i in np.flatnonzero(leaving):
-            problem = int(problem_of[i])
-            hybrid = HybridBeamformer(
-                AnalogBeamformer(num_antennas, num_rf_chains,
-                                 canonical_phases(-np.angle(phasors[i]))),
-                BasebandBeamformer(basebands[i].copy()),
-            )
-            final = AuxiliaryUnitary(unitaries[i].copy())
-            trace = traces[members[i]]
-            product, comm, radar, trace[-1] = _exact_final_objective(
-                hybrid, final, problems[problem][0], f_rad, eta[i], trace[-1], problem)
-            reports[members[i]] = AltMinReport(
-                hybrid=hybrid, unitary=final, objective_trace=trace,
-                iterations_used=step, converged=bool(converged[i]),
-                product=product, comm_error=comm, radar_error=radar,
-            )
+        left = members[leaving]
+        parked_phasors[left] = phasors[leaving]
+        parked_basebands[left] = basebands[leaving]
+        parked_unitaries[left] = unitaries[leaving]
+        parked_converged[left] = converged[leaving]
+        finishing = np.bincount(problem_of[leaving], minlength=len(problems))
+        unfinished -= finishing
+        for problem in np.flatnonzero((finishing > 0) & (unfinished == 0)).tolist():
+            own = slice(stops[problem] - counts[problem], stops[problem])
+            reports[problem] = _exit_reports(
+                problems[problem][0], f_rad, num_rf_chains, config_eta[own],
+                config_offsets[own], parked_phasors[own], parked_basebands[own],
+                parked_unitaries[own], parked_converged[own], traces[own], problem)
         stay = ~leaving
         if not stay.any():
             break
@@ -636,20 +643,42 @@ def alternating_minimization_stack(problems, f_rad,
                               basebands, g_rad)
         )
         rows = _problem_rows(targets, np.bincount(problem_of, minlength=len(problems)).tolist())
-    stops = np.cumsum([len(configs) for _, configs in problems]).tolist()
-    return [reports[stop - len(configs):stop] for (_, configs), stop in zip(problems, stops)]
+    return reports
 
 
-def _exact_final_objective(hybrid: HybridBeamformer, unitary: AuxiliaryUnitary,
-                           f_com: np.ndarray, f_rad: np.ndarray, eta: float,
-                           chain_value: float, problem: int = 0):
-    """A finished design scored from its materialized product, with the
-    objective checked against its block-sum value: (product, comm_error,
-    radar_error, objective)."""
-    product = materialize_product(hybrid.analog, hybrid.baseband.matrix)
-    comm, radar, exact = metrics.fitting_errors(product, f_com, f_rad @ unitary.matrix, eta)
-    exact = float(exact)
-    if not abs(exact - chain_value) <= 1e-12 * (1.0 + exact):
-        raise SolverError(f"block-sum objective {chain_value!r} disagrees with the exact "
-                          f"{exact!r} at eta={eta}", problem)
-    return product, comm, radar, exact
+def _exit_reports(f_com: np.ndarray, f_rad: np.ndarray, num_rf_chains: int, eta: np.ndarray,
+                  offsets: np.ndarray, phasors: np.ndarray, basebands: np.ndarray,
+                  unitaries: np.ndarray, converged: np.ndarray, traces: list,
+                  problem: int) -> list[AltMinReport]:
+    """The reports of one problem whose members have all left the loop, from
+    their final phasors (E, N), basebands (E, R, S), unitaries (E, T, S) and
+    traces: the designs are phased, materialized and scored in one pass.
+
+    Each member's last trace entry, its block-sum objective, is replaced by
+    the objective of its materialized product.  `SolverError` is raised for
+    the first member where the two differ by more than 1e-13 * offset, with
+    `offsets` the part of its objective that no block changes
+    (`_objective_offsets`): both values are that offset minus a term of at
+    most its size, so rounding scales with it, and not with the objective.
+    """
+    phases = canonical_phases(-np.angle(phasors))
+    products = materialize_product(phases, basebands)
+    comm, radar, exact = metrics.fitting_errors(products, f_com, f_rad @ unitaries, eta)
+    chain_values = np.array([trace[-1] for trace in traces])
+    disagree = ~(np.abs(exact - chain_values) <= 1e-13 * offsets)
+    if disagree.any():
+        i = int(np.argmax(disagree))
+        raise SolverError(f"block-sum objective {traces[i][-1]!r} disagrees with the exact "
+                          f"{float(exact[i])!r} at eta={float(eta[i])}", problem)
+    num_antennas = phasors.shape[1]
+    reports = []
+    for i, (trace, value) in enumerate(zip(traces, exact.tolist())):
+        trace[-1] = value
+        reports.append(AltMinReport(
+            hybrid=HybridBeamformer(AnalogBeamformer(num_antennas, num_rf_chains, phases[i]),
+                                    BasebandBeamformer(basebands[i])),
+            unitary=AuxiliaryUnitary(unitaries[i]), objective_trace=trace,
+            iterations_used=len(trace) - 1, converged=bool(converged[i]),
+            product=products[i], comm_error=float(comm[i]), radar_error=float(radar[i]),
+        ))
+    return reports

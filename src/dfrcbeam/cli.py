@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -46,8 +47,8 @@ ALTMIN_SEED_OFFSET = 2**32
 
 # trials whose rate-sweep designs are solved as one stack.  On the reference
 # 20-trial sweep (2 vCPUs, numpy 2.4.6, OpenBLAS 0.3.31, one BLAS thread),
-# stacks of 5, 10 and 20 trials took 154, 143 and 137 ms in process, and the
-# CLI peaked at 40.7, 43.6 and 44.7 MB: larger stacks save little time, and
+# stacks of 5, 10 and 20 trials took 114, 107 and 103 ms in process, and the
+# CLI peaked at 40.7, 43.7 and 44.3 MB: larger stacks save little time, and
 # the loop's temporaries grow with the stack
 TRIALS_PER_STACK = 5
 
@@ -539,6 +540,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; `argv` defaults to the process's own arguments.
+
+    A run that parses the process's own arguments owns the process, so it
+    first moves the heap that importing numpy built into the collector's
+    permanent generation (`gc.freeze`): neither the collections during the run
+    nor the one at exit walk it again, and pool workers fork with it frozen.
+    A caller that passes `argv` keeps its collector as it was.
+    """
+    if argv is None:
+        gc.freeze()
     args = build_parser().parse_args(argv)
     started, cpu_started = time.monotonic(), _cpu_time()
     try:

@@ -345,25 +345,26 @@ def test_alternating_minimization_skips_dense_analog_and_sphere_solver(monkeypat
 
 def test_alternating_minimization_materializes_only_at_start_and_exit(monkeypatch):
     import dfrcbeam.altmin as altmin_module
-    calls = []
+    designs = []  # the number of designs each call materializes
     original = altmin_module.materialize_product
 
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
+    def counted(analog, baseband):
+        designs.append(int(np.prod(np.shape(getattr(analog, "phases", analog))[:-1])))
+        return original(analog, baseband)
 
     monkeypatch.setattr(altmin_module, "materialize_product", counted)
     f_com, f_rad = toy_problem(61)
     config = AltMinConfig(eta=0.6, total_power=3.0, max_iterations=50, rng_seed=4)
     report = alternating_minimization(f_com, f_rad, 4, config)
     assert report.iterations_used > 1
-    assert len(calls) == 2  # the start and the exit check
-    calls.clear()
+    assert designs == [1, 1]  # the start and the exit check
+    designs.clear()
     configs = [AltMinConfig(eta=eta, total_power=3.0, max_iterations=50, rng_seed=4)
                for eta in (0.0, 0.3, 0.6, 0.9, 1.0)]
     reports = alternating_minimization_stack([(f_com, configs)], f_rad, 4)[0]
     assert len({r.iterations_used for r in reports}) > 1
-    assert len(calls) == 1 + len(configs)
+    # the start, then every design once, in one pass after the last has left
+    assert designs == [1, len(configs)]
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])

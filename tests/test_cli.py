@@ -17,6 +17,7 @@ from dfrcbeam.cli import (
     _chunk_designs,
     config_from_dict,
     design_trial,
+    draw_trial,
     load_config,
     main,
     radar_target,
@@ -264,22 +265,27 @@ def test_rate_sweep_designs_equal_design_trial_bit_for_bit():
 
 def test_rate_sweep_scores_each_design_once_in_the_exit_check(monkeypatch):
     from dfrcbeam import hybrid
-    calls = {"fitting_errors": 0, "materialize_product": 0}
+    # the number of designs each call scores: the leading stack size of its
+    # first argument, a phase vector (or an analog stage) or a product
+    designs = {"fitting_errors": [], "materialize_product": []}
 
-    def counted(module, name):
+    def counted(module, name, matrix_axes):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            shape = np.shape(getattr(args[0], "phases", args[0]))
+            designs[name].append(int(np.prod(shape[:-matrix_axes])))
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(metrics, "fitting_errors")
-    counted(hybrid, "materialize_product")
-    counted(altmin, "materialize_product")
+    counted(metrics, "fitting_errors", 2)
+    counted(hybrid, "materialize_product", 1)
+    counted(altmin, "materialize_product", 1)
     run_rate_sweep(toy_config(num_trials=3, eta_values=[0.2, 0.5, 0.8, 1.0]))
-    # one at each trial's start and one at each design's exit
-    assert calls == {"fitting_errors": 15, "materialize_product": 15}
+    # one design at each trial's start, then each trial's 4 designs in one
+    # pass at its exit: 15 designs in all, each scored once
+    for sizes in designs.values():
+        assert sorted(sizes) == [1, 1, 1, 4, 4, 4]
     monkeypatch.undo()
 
     config = toy_config(num_trials=2, eta_values=[0.0, 0.5, 1.0])
@@ -293,6 +299,31 @@ def test_rate_sweep_scores_each_design_once_in_the_exit_check(monkeypatch):
                                                     design.f_rad @ report.unitary.matrix, eta)
             assert np.array_equal(report.product, product)
             assert report.comm_error == comm and report.radar_error == radar
+
+
+@pytest.mark.parametrize("relative, fails", [(1e-12, True), (1e-14, False)])
+def test_the_exit_check_bounds_the_disagreement_by_the_objective_offset(monkeypatch,
+                                                                        relative, fails):
+    config = toy_config(num_trials=3, eta_values=[0.2, 0.5, 0.8])
+    _, spoiled, _ = draw_trial(config, 1)
+    original = metrics.fitting_errors
+
+    def disagreeing(products, f_com, f_rad_u, eta):
+        comm, radar, weighted = original(products, f_com, f_rad_u, eta)
+        if np.ndim(products) == 3 and np.array_equal(f_com, spoiled):
+            # the objective offset P + eta ||f_com||^2 + (1 - eta) ||f_rad||^2
+            offsets = (config.total_power + eta * np.sum(np.abs(f_com) ** 2)
+                       + (1.0 - eta) * np.sum(np.abs(f_rad_u) ** 2, axis=(1, 2)))
+            weighted = np.where(eta == 0.5, weighted + relative * offsets, weighted)
+        return comm, radar, weighted
+
+    monkeypatch.setattr(metrics, "fitting_errors", disagreeing)
+    if fails:
+        with pytest.raises(altmin.SolverError, match=r"^trial 1 failed: block-sum objective "
+                                                     r".* disagrees with the exact .* at eta=0\.5$"):
+            run_rate_sweep(config)
+    else:
+        run_rate_sweep(config)
 
 
 @pytest.mark.parametrize("command", [
@@ -438,7 +469,8 @@ def test_rate_sweep_forms_phases_once_per_design(monkeypatch):
     monkeypatch.setattr(altmin, "canonical_phases", counted)
     config = toy_config(num_trials=3, eta_values=[0.2, 0.5, 0.8, 1.0])
     run_rate_sweep(config)
-    assert calls == [(config.n_tx,)] * 12
+    # one (designs, n_tx) call per trial: 12 designs, each phased once
+    assert calls == [(4, config.n_tx)] * 3
 
 
 @pytest.mark.parametrize("trials_per_stack", [1, 3, 5])
@@ -463,6 +495,46 @@ def test_importing_the_cli_loads_no_process_pool():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_a_run_on_the_process_arguments_freezes_the_import_heap(tmp_path):
+    config_path = write_toy_config(tmp_path, num_trials=1)
+    code = ("import gc, sys\n"
+            "from dfrcbeam import cli\n"
+            "frozen = []\n"
+            "write_csv = cli.write_csv\n"
+            "def recording(*args):\n"
+            "    frozen.append(gc.get_freeze_count())\n"
+            "    write_csv(*args)\n"
+            "cli.write_csv = recording\n"
+            "print(cli.main(), frozen)\n")
+    done = subprocess.run([sys.executable, "-c", code, "convergence", "--eta", "0.5",
+                           "--config", str(config_path), "--out", str(tmp_path / "trace.csv")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    status, frozen = done.stdout.split(" ", 1)
+    assert status == "0"
+    assert json.loads(frozen)[0] > 0
+
+
+def test_a_run_on_given_arguments_leaves_the_collector_alone(tmp_path, monkeypatch):
+    import gc
+
+    import dfrcbeam.cli as cli_module
+    collector = []
+    write_csv = cli_module.write_csv
+
+    def recording(*args):
+        collector.append((gc.isenabled(), gc.get_freeze_count()))
+        write_csv(*args)
+
+    monkeypatch.setattr(cli_module, "write_csv", recording)
+    before = (gc.isenabled(), gc.get_freeze_count())
+    config_path = write_toy_config(tmp_path, num_trials=1)
+    assert main(["convergence", "--eta", "0.5", "--config", str(config_path),
+                 "--out", str(tmp_path / "trace.csv")]) == 0
+    assert collector == [before]
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 class RecordingPool:

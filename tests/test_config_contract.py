@@ -106,6 +106,19 @@ def test_a_tiny_total_power_is_never_a_solver_fault(tmp_path, dims):
     assert run(tmp_path, {**dims, "total_power": 1e-300}, RATE_SWEEP)[0] == 0
 
 
+@pytest.mark.parametrize("doc, eta", [
+    ({**TINY, "total_power": 1e300}, "0"),
+    ({**TINY, "total_power": 1e100}, "0"),
+    ({**TINY, "total_power": 1e100, "n_rf": 12, "n_streams": 1, "tolerance": 1e-300}, "1"),
+], ids=["1e300", "1e100", "1e100-one-antenna-per-chain"])
+def test_a_huge_total_power_is_not_a_solver_fault(tmp_path, doc, eta):
+    # designs that fit almost perfectly: the objective is a difference of terms
+    # of the power's size, which the exit check must allow for
+    code, out = run(tmp_path, doc, ["convergence", "--eta", eta])
+    assert code == 0
+    assert_contract(code, out)
+
+
 EXTREMES = [0.0, -0.0, 1.0, -1.0, 90.0, -90.0, 30.0, 1e300, -1e300, 1e-300, -1e-300,
             sys.float_info.min, 5e-324, -5e-324]
 
