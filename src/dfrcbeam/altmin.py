@@ -20,8 +20,9 @@ implemented once on a stack of members; `alternating_minimization_stack` is
 the one loop.  It cycles the members of several problems that share f_rad,
 each at several `eta`; the single design and the public 2-D solves are its
 special cases, and a `DesignStack` keeps its reports for lookup one design at
-a time.  The loop state is the unit phasor e^{-j phi} of each antenna; phases
-are formed once, as a member leaves.
+a time.  The loop state is the unit phasor e^{-j phi} of each antenna.  A
+member that leaves parks its final state, and after the loop each problem's
+designs are phased, materialized and scored in one pass.
 
 The loop never forms the N x S hybrid product or a mixed target.  The analog
 stage has unit-modulus entries on disjoint blocks, so F_RF^H F_RF is a
@@ -534,15 +535,17 @@ def alternating_minimization_stack(problems, f_rad,
     over the stack of members still running, on per-chain block sums only
     (see the module docstring).  A member leaves the stack at the iteration
     where its own stopping rule fires, so its report equals, bit for bit, the
-    one a stack holding it alone returns.  Once the last member of a problem
-    has left, the problem's designs are materialized and scored in one pass
-    (`_exit_reports`): each last trace entry is recomputed from the
-    materialized design, which the report keeps with its fitting errors, and
-    `SolverError` is raised if it differs from the block-sum value by more
-    than 1e-13 times the member's objective offset.  A `SolverError` of a
-    member, a `LinAlgError` of its SVD among them, names its eta and carries
-    its problem's index.  Returns one list of reports per problem, each in
-    the order of its configs.
+    one a stack holding it alone returns.  A leaving member only parks its
+    final state; after the loop, each problem's designs are materialized and
+    scored in one pass (`_exit_reports`), in problem order: each last trace
+    entry is recomputed from the materialized design, which the report keeps
+    with its fitting errors, and `SolverError` is raised if it differs from
+    the block-sum value by more than 1e-13 times the member's objective
+    offset.  So a member that fails inside the loop (a non-finite objective
+    or an SVD failure) raises its error even where a member that left earlier
+    would fail that exit check.  A `SolverError` of a member, a `LinAlgError`
+    of its SVD among them, names its eta and carries its problem's index.
+    Returns one list of reports per problem, each in the order of its configs.
     """
     problems = [(np.asarray(f_com, dtype=complex), list(configs)) for f_com, configs in problems]
     if not problems or not all(configs for _, configs in problems):
@@ -562,15 +565,11 @@ def alternating_minimization_stack(problems, f_rad,
     if num_rf_chains < 1 or num_antennas % num_rf_chains != 0:
         raise ValueError(f"{num_antennas} antennas not divisible by "
                          f"{num_rf_chains} RF chains")
-    if num_antennas % num_targets != 0:
-        raise ValueError(f"{num_antennas} antennas not divisible by "
-                         f"{num_targets} targets")
     if num_streams < num_targets:
         raise ValueError("need at least as many streams as radar targets")
 
     # members are grouped by problem, and stay so as some leave
     counts = [len(configs) for _, configs in problems]
-    stops = list(accumulate(counts))
     targets = np.stack([_chain_targets(f_com, f_rad, num_rf_chains) for f_com, _ in problems])
     starts, eta, offsets, values = [], [], [], []
     for (f_com, configs), problem_targets in zip(problems, targets):
@@ -596,12 +595,11 @@ def alternating_minimization_stack(problems, f_rad,
     members = np.arange(len(eta))  # index into the flat list of configs of each stack entry
     # a member that leaves parks copies of its final state at its index in the
     # flat list of configs (never views, which would keep each iteration's
-    # arrays alive); its problem is scored once its last member has left
-    config_eta, config_offsets, unfinished = eta, offsets, np.array(counts)
+    # arrays alive); every problem is scored from them after the loop
+    config_eta, config_offsets = eta, offsets
     parked_phasors, parked_basebands = np.empty_like(phasors), np.empty_like(basebands)
     parked_unitaries = np.empty((len(eta), num_targets, num_streams), dtype=complex)
     parked_converged = np.empty(len(eta), dtype=bool)
-    reports: list[list[AltMinReport] | None] = [None] * len(problems)
     for step in range(1, first.max_iterations + 1):
         try:
             unitaries = _unitary_step(g_rad, basebands)
@@ -627,14 +625,6 @@ def alternating_minimization_stack(problems, f_rad,
         parked_basebands[left] = basebands[leaving]
         parked_unitaries[left] = unitaries[leaving]
         parked_converged[left] = converged[leaving]
-        finishing = np.bincount(problem_of[leaving], minlength=len(problems))
-        unfinished -= finishing
-        for problem in np.flatnonzero((finishing > 0) & (unfinished == 0)).tolist():
-            own = slice(stops[problem] - counts[problem], stops[problem])
-            reports[problem] = _exit_reports(
-                problems[problem][0], f_rad, num_rf_chains, config_eta[own],
-                config_offsets[own], parked_phasors[own], parked_basebands[own],
-                parked_unitaries[own], parked_converged[own], traces[own], problem)
         stay = ~leaving
         if not stay.any():
             break
@@ -643,15 +633,19 @@ def alternating_minimization_stack(problems, f_rad,
                               basebands, g_rad)
         )
         rows = _problem_rows(targets, np.bincount(problem_of, minlength=len(problems)).tolist())
-    return reports
+    return [_exit_reports(f_com, f_rad, num_rf_chains, config_eta[own], config_offsets[own],
+                          parked_phasors[own], parked_basebands[own], parked_unitaries[own],
+                          parked_converged[own], traces[own], problem)
+            for problem, ((f_com, _), (_, own))
+            in enumerate(zip(problems, _problem_rows(targets, counts)))]
 
 
 def _exit_reports(f_com: np.ndarray, f_rad: np.ndarray, num_rf_chains: int, eta: np.ndarray,
                   offsets: np.ndarray, phasors: np.ndarray, basebands: np.ndarray,
                   unitaries: np.ndarray, converged: np.ndarray, traces: list,
                   problem: int) -> list[AltMinReport]:
-    """The reports of one problem whose members have all left the loop, from
-    their final phasors (E, N), basebands (E, R, S), unitaries (E, T, S) and
+    """The reports of one problem, once the loop has ended, from its members'
+    final phasors (E, N), basebands (E, R, S), unitaries (E, T, S) and
     traces: the designs are phased, materialized and scored in one pass.
 
     Each member's last trace entry, its block-sum objective, is replaced by
@@ -660,6 +654,8 @@ def _exit_reports(f_com: np.ndarray, f_rad: np.ndarray, num_rf_chains: int, eta:
     `offsets` the part of its objective that no block changes
     (`_objective_offsets`): both values are that offset minus a term of at
     most its size, so rounding scales with it, and not with the objective.
+    It is raised only after the whole loop has run, so an error of any
+    member inside the loop comes first; both name their eta and `problem`.
     """
     phases = canonical_phases(-np.angle(phasors))
     products = materialize_product(phases, basebands)

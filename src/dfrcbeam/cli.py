@@ -206,12 +206,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8"))
+    # ValueError covers bad UTF-8, bad JSON and an integer longer than Python
+    # converts (4300 digits); RecursionError, JSON nested too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(doc)
 
@@ -509,6 +511,15 @@ def write_metadata(path, doc: dict) -> None:
                           encoding="ascii", newline="")
 
 
+def _write(writer, path, *args) -> None:
+    """`writer(path, *args)`, with an `OSError` reported as a `ConfigError`
+    that names the path."""
+    try:
+        writer(path, *args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfrcbeam",
@@ -553,6 +564,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started, cpu_started = time.monotonic(), _cpu_time()
     try:
+        out = Path(args.out)
+        if out.is_dir() or not out.parent.is_dir():
+            raise ConfigError(f"--out {args.out} must name a file in an existing directory")
         config = load_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
             if not 0 <= args.seed < 2**32:
@@ -578,7 +592,7 @@ def main(argv=None) -> int:
             trials = 1
             columns, rows, info = run_convergence(config, eta)
 
-        write_csv(args.out, columns, rows, header)
+        _write(write_csv, args.out, columns, rows, header)
         meta = {
             "command": args.command,
             "config": config.to_dict(),
@@ -591,7 +605,7 @@ def main(argv=None) -> int:
             "blas_threads_pinned": BLAS_THREADS_PINNED,
             **info,
         }
-        write_metadata(f"{args.out}.meta.json", meta)
+        _write(write_metadata, f"{args.out}.meta.json", meta)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

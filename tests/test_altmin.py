@@ -546,6 +546,24 @@ def test_stack_members_report_as_their_one_member_runs():
             assert_same_report(report, alternating_minimization(target, f_rad, 4, config))
 
 
+def test_stack_solves_targets_that_do_not_divide_the_antennas():
+    # only the sub-arrayed radar beamformer splits antennas by target; the
+    # solve itself takes any f_rad, here 3 targets on 8 antennas
+    rng = np.random.default_rng(78)
+    f_com, f_rad = crandn(rng, (8, 3)), crandn(rng, (8, 3))
+    f_com *= math.sqrt(3.0 / np.sum(np.abs(f_com) ** 2))
+    f_rad *= math.sqrt(3.0 / np.sum(np.abs(f_rad) ** 2))
+    configs = [AltMinConfig(eta=eta, total_power=3.0, tolerance=1e-6, max_iterations=200,
+                            rng_seed=5) for eta in (0.2, 0.7)]
+    reports = alternating_minimization_stack([(f_com, configs)], f_rad, 4)[0]
+    for config, report in zip(configs, reports):
+        trace = np.asarray(report.objective_trace)
+        assert report.converged
+        assert np.all(np.diff(trace) <= 1e-9 * (1.0 + trace[0]))
+        assert abs(np.sum(np.abs(report.product) ** 2) - 3.0) <= 1e-12
+        assert_same_report(report, alternating_minimization(f_com, f_rad, 4, config))
+
+
 def test_stack_names_the_problem_of_a_non_finite_member():
     f_com, f_rad = toy_problem(72)
     huge = np.full_like(f_com, 1e308)

@@ -847,6 +847,54 @@ def test_cli_rejects_invalid_inputs(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    b'{"n_tx": 12, "note\xff": 1}',
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"num_trials": 1' + b"0" * 5000 + b"}",
+], ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+def test_cli_rejects_a_config_file_that_is_not_json(tmp_path, capsys, text):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(text)
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(config_path)
+    out = tmp_path / "x.csv"
+    assert main(["rate-sweep", "--config", str(config_path), "--out", str(out)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "folder"])
+def test_cli_rejects_an_output_path_it_cannot_write_before_any_work(tmp_path, capsys,
+                                                                    monkeypatch, out):
+    import dfrcbeam.cli as cli_module
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli_module, "run_rate_sweep", unreachable)
+    (tmp_path / "folder").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["rate-sweep", "--out", str(tmp_path / out)]) == 2
+    assert str(tmp_path / out) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("writer", ["write_csv", "write_metadata"])
+def test_cli_reports_a_failed_write_as_exit_2(tmp_path, capsys, monkeypatch, writer):
+    import dfrcbeam.cli as cli_module
+
+    def refuse(path, *args):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli_module, writer, refuse)
+    config_path = write_toy_config(tmp_path)
+    out = tmp_path / "trace.csv"
+    assert main(["convergence", "--eta", "0.5", "--config", str(config_path),
+                 "--out", str(out)]) == 2
+    failed = out if writer == "write_csv" else tmp_path / "trace.csv.meta.json"
+    assert f"cannot write {failed}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, field, value", [
     (["rate-sweep"], "snr_db_values", [math.nan]),
     (["convergence", "--eta", "0.5"], "tolerance", math.inf),
