@@ -30,11 +30,17 @@ multiple of the identity and everything the blocks need is a per-chain block
 sum: row r of G_com (G_rad) sums e^{-j phi_i} f_com,i (f_rad,i) over the
 antennas of chain r.  With c the baseband power:
 
-* the unitary step takes the SVD of f_rad^H F = G_rad^H F_BB (T x S);
+* the unitary step takes the polar factor of f_rad^H F = G_rad^H F_BB
+  (T x S) from the eigendecomposition of its T x T Gram, or from its SVD where
+  that Gram is ill-conditioned (see `_unitary_step`);
 * the baseband step is sqrt(c) G / ||G||_F with G = eta G_com + (1-eta) G_rad U;
 * the objective after it is P + eta ||f_com||^2 + (1-eta) ||f_rad||^2
   - 2 sqrt(c) ||G||_F, because the power ||F||^2 = P is exact and U has
   orthonormal rows.
+
+Both weights enter through one (S + T) x S mixing matrix [eta I ; (1-eta) U]
+per member: G is [G_com | G_rad] times it, and the analog step correlates
+each antenna with conj(F_BB) times its transpose.
 """
 
 from __future__ import annotations
@@ -156,11 +162,14 @@ def objective(analog: AnalogBeamformer, baseband, unitary, f_com, f_rad, eta: fl
 def solve_unitary(f_rad, product) -> AuxiliaryUnitary:
     """Semi-unitary U minimizing ||f_rad @ U - product||_F.
 
-    With the singular value decomposition u s vh of f_rad^H product, the
-    minimizer is u @ vh.  A zero product matrix is fine: every semi-unitary is
-    then optimal and the SVD basis picks one deterministically.  This is the
-    loop's step with one antenna per chain and unit phasors, where the block
-    sums are the rows of f_rad and the baseband is the product itself.
+    The minimizer is the polar factor of A = f_rad^H product: u @ vh for its
+    singular value decomposition u s vh, which equals (A A^H)^{-1/2} A when A
+    has full row rank.  It is computed as `_unitary_step` does, from the Gram
+    A A^H where that is well-conditioned and from the SVD otherwise.  A zero
+    product matrix is fine: every semi-unitary is then optimal and the SVD
+    basis picks one deterministically.  This is the loop's step with one
+    antenna per chain and unit phasors, where the block sums are the rows of
+    f_rad and the baseband is the product itself.
     """
     f_rad = np.asarray(f_rad)
     product = np.asarray(product)
@@ -171,12 +180,49 @@ def solve_unitary(f_rad, product) -> AuxiliaryUnitary:
     return AuxiliaryUnitary(_unitary_step(f_rad[None], product[None])[0])
 
 
+# A member's polar factor comes from its Gram's eigendecomposition only where
+# the Gram's eigenvalues satisfy w_min > ratio * w_max + floor: cond(A) < 10,
+# where the factor is within about 1e-14 of the SVD's, and w_min above the
+# smallest normal float over the machine epsilon, so that rounding a subnormal
+# entry of the Gram stays below eps relative to w_min.
+_POLAR_GRAM_RATIO = 1e-2
+_POLAR_GRAM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+
 def _unitary_step(g_rad: np.ndarray, basebands: np.ndarray) -> np.ndarray:
     """`solve_unitary` for a stack: radar block sums (B, R, T) and basebands
-    (B, R, S), whose product G_rad^H F_BB is f_rad^H F; returns the (B, T, S)
-    minimizers."""
-    u, _, vh = np.linalg.svd(g_rad.conj().swapaxes(-1, -2) @ basebands, full_matrices=False)
-    return u @ vh
+    (B, R, S), whose product A = G_rad^H F_BB is f_rad^H F; returns the
+    (B, T, S) minimizers, the polar factors of the A.
+
+    The factor is (A A^H)^{-1/2} A = V diag(w)^{-1/2} V^H A, from one batched
+    `eigh` of the (B, T, T) Grams A A^H = V diag(w) V^H.  A member whose Gram
+    is ill-conditioned, tiny or not finite (see `_POLAR_GRAM_RATIO`), a zero or
+    rank-deficient A among them, takes u @ vh of the SVD of its A instead, all
+    such members in one batched call.  Each choice reads only the member's own
+    Gram, so a member's factor does not depend on the stack it is in.
+    """
+    a = g_rad.conj().swapaxes(-1, -2) @ basebands
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a @ a.conj().swapaxes(-1, -2)
+    try:
+        w, v = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError:
+        # a Gram with NaN entries (A or its square overflowing) fails the whole
+        # batched call; zeroed, its member takes the SVD
+        finite = np.isfinite(gram).all(axis=(1, 2))
+        if finite.all():
+            raise
+        gram[~finite] = 0.0
+        w, v = np.linalg.eigh(gram)
+    polar = w[:, 0] > _POLAR_GRAM_RATIO * w[:, -1] + _POLAR_GRAM_FLOOR
+    any_fallback = not polar.all()
+    if any_fallback:
+        w[~polar] = 1.0  # zero, negative or NaN; their factors are replaced below
+    unitaries = (v / np.sqrt(w)[:, None, :]) @ (v.conj().swapaxes(-1, -2) @ a)
+    if any_fallback:
+        u, _, vh = np.linalg.svd(a[~polar], full_matrices=False)
+        unitaries[~polar] = u @ vh
+    return unitaries
 
 
 def _chain_targets(f_com: np.ndarray, f_rad: np.ndarray, num_rf: int) -> np.ndarray:
@@ -241,24 +287,34 @@ def solve_analog(baseband, f_com, f_rad_u, eta: float,
     return AnalogBeamformer(num_antennas, num_rf, canonical_phases(-np.angle(phasors[0])))
 
 
+def _mixing(unitaries: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The (B, S + T, S) mixing matrices [eta I ; (1 - eta) U] of unitaries
+    (B, T, S) and weights (B,): block sums [G_com | G_rad] times one are
+    eta G_com + (1 - eta) G_rad U."""
+    num_targets, num_streams = unitaries.shape[-2:]
+    mix = np.zeros((len(eta), num_streams + num_targets, num_streams), dtype=complex)
+    # the diagonal of the top S x S block, in each member's flat entries
+    mix.reshape(len(eta), -1)[:, :num_streams ** 2:num_streams + 1] = eta[:, None]
+    np.multiply((1.0 - eta)[:, None, None], unitaries, out=mix[:, num_streams:])
+    return mix
+
+
 def _analog_step(targets: np.ndarray, basebands: np.ndarray, unitaries: np.ndarray,
-                 eta: np.ndarray, previous: np.ndarray, rows=None) -> np.ndarray:
+                 eta: np.ndarray, previous: np.ndarray, rows=None, mix=None) -> np.ndarray:
     """`solve_analog` for a stack: chain targets and `rows` as for `_block_sums`, basebands
     (B, R, S), unitaries (B, T, S), weights (B,) and the phasors (B, N) kept
     where the correlation is zero; returns the optimal phasors e^{-j phi},
-    conj(c) / |c| for each antenna's correlation c.
+    conj(c) / |c| for each antenna's correlation c.  `mix` is
+    `_mixing(unitaries, eta)` where the caller has formed it already.
 
     <t_i, b_c> = eta <f_com,i, b_c> + (1 - eta) <f_rad,i, b_c U^H>, so each
-    antenna correlates its target row with one (S + T)-vector of its chain.
+    antenna correlates its target row with one (S + T)-vector of its chain,
+    [eta conj(b_c) | (1 - eta) conj(b_c) U^T] = conj(b_c) mix^T.
     """
-    weight = eta[:, None, None]
-    conj = basebands.conj()
-    num_rf, block, width = targets.shape[-3:]
-    num_streams = conj.shape[-1]
-    chain_vectors = np.empty((len(eta), num_rf, width, 1), dtype=complex)
-    np.multiply(weight, conj, out=chain_vectors[:, :, :num_streams, 0])
-    np.multiply(1.0 - weight, conj @ unitaries.swapaxes(-1, -2),
-                out=chain_vectors[:, :, num_streams:, 0])
+    if mix is None:
+        mix = _mixing(unitaries, eta)
+    num_rf, block, _ = targets.shape[-3:]
+    chain_vectors = (basebands.conj() @ mix.swapaxes(-1, -2))[..., None]
     corr = np.empty((len(eta), num_rf, block, 1), dtype=complex)
     for problem_targets, members in rows or [(targets, slice(None))]:
         np.matmul(problem_targets, chain_vectors[members], out=corr[members])
@@ -381,15 +437,14 @@ def solve_baseband(analog: AnalogBeamformer, f_com, f_rad_u, eta: float,
 
 
 def _baseband_step(sums: np.ndarray, unitaries: np.ndarray, eta: np.ndarray,
-                   num_antennas: int, total_power: float, problems=None):
+                   num_antennas: int, total_power: float, problems=None, mix=None):
     """`solve_baseband` for a stack: block sums (B, R, S + T) of the new phases,
     unitaries (B, T, S) and weights (B,); returns the (B, R, S) basebands and
     ||G||_F per member, taken before the zero-target fallback.  `eta` and the
     members' problem indices `problems` (default: all 0) name the failing
-    member in errors."""
-    num_streams = unitaries.shape[-1]
-    weight = eta[:, None, None]
-    g = weight * sums[..., :num_streams] + (1.0 - weight) * (sums[..., num_streams:] @ unitaries)
+    member in errors; `mix` is `_mixing(unitaries, eta)` where the caller has
+    formed it already."""
+    g = sums @ (_mixing(unitaries, eta) if mix is None else mix)
     if not np.isfinite(g).all():
         raise _member_error("non-finite entries in the baseband target",
                             ~np.isfinite(g).all(axis=(1, 2)), eta, problems)
@@ -450,7 +505,7 @@ def _check_finite_objective(values: np.ndarray, eta: np.ndarray, problems=None) 
 def _unitary_failure(exc: np.linalg.LinAlgError, g_rad: np.ndarray, basebands: np.ndarray,
                      eta: np.ndarray, problems: np.ndarray) -> SolverError:
     """`SolverError` naming the members whose unitary step fails on its own
-    (see `_member_error`): the stacked SVD raises for the whole stack."""
+    (see `_member_error`): a batched `eigh` or SVD raises for the whole stack."""
     failing = np.zeros(len(eta), dtype=bool)
     for i in range(len(eta)):
         try:
@@ -606,10 +661,11 @@ def alternating_minimization_stack(problems, f_rad,
         except np.linalg.LinAlgError as exc:
             raise _unitary_failure(exc, g_rad, basebands, eta, problem_of) from exc
         _check_orthonormal_rows(unitaries)
-        phasors = _analog_step(targets, basebands, unitaries, eta, phasors, rows)
+        mix = _mixing(unitaries, eta)
+        phasors = _analog_step(targets, basebands, unitaries, eta, phasors, rows, mix)
         sums = _block_sums(phasors, targets, rows)
         basebands, g_norms = _baseband_step(sums, unitaries, eta, num_antennas,
-                                            first.total_power, problem_of)
+                                            first.total_power, problem_of, mix)
         g_rad = sums[..., num_streams:]
         previous = values
         values = _chain_objective(offsets, g_norms, baseband_power)
@@ -638,6 +694,17 @@ def alternating_minimization_stack(problems, f_rad,
                           parked_converged[own], traces[own], problem)
             for problem, ((f_com, _), (_, own))
             in enumerate(zip(problems, _problem_rows(targets, counts)))]
+
+
+def _prechecked(cls, **fields):
+    """The frozen dataclass `cls` holding `fields` as given, without the checks
+    of its `__post_init__`: for the exit reports' phases, which the exit pass
+    has just canonicalized from finite phasors, and unitaries, whose rows the
+    loop checked in the iteration that made them."""
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    return instance
 
 
 def _exit_reports(f_com: np.ndarray, f_rad: np.ndarray, num_rf_chains: int, eta: np.ndarray,
@@ -670,10 +737,11 @@ def _exit_reports(f_com: np.ndarray, f_rad: np.ndarray, num_rf_chains: int, eta:
     reports = []
     for i, (trace, value) in enumerate(zip(traces, exact.tolist())):
         trace[-1] = value
+        analog = _prechecked(AnalogBeamformer, num_antennas=num_antennas,
+                             num_rf_chains=num_rf_chains, phases=phases[i])
         reports.append(AltMinReport(
-            hybrid=HybridBeamformer(AnalogBeamformer(num_antennas, num_rf_chains, phases[i]),
-                                    BasebandBeamformer(basebands[i])),
-            unitary=AuxiliaryUnitary(unitaries[i]), objective_trace=trace,
+            hybrid=HybridBeamformer(analog, BasebandBeamformer(basebands[i])),
+            unitary=_prechecked(AuxiliaryUnitary, matrix=unitaries[i]), objective_trace=trace,
             iterations_used=len(trace) - 1, converged=bool(converged[i]),
             product=products[i], comm_error=float(comm[i]), radar_error=float(radar[i]),
         ))

@@ -605,7 +605,11 @@ def main(argv=None) -> int:
             "blas_threads_pinned": BLAS_THREADS_PINNED,
             **info,
         }
-        _write(write_metadata, f"{args.out}.meta.json", meta)
+        try:
+            _write(write_metadata, f"{args.out}.meta.json", meta)
+        except ConfigError:
+            out.unlink(missing_ok=True)  # a CSV without its sidecar is not a result
+            raise
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -156,6 +157,109 @@ def test_solve_unitary_beats_random_samples():
 def objective_of_unitary(f_rad, product, unitary):
     diff = f_rad @ unitary - product
     return float(np.vdot(diff, diff).real)
+
+
+def matrices_with_singular_values(rng, singular_values, num_streams):
+    # A = Q1 diag(s) Q2^H with Haar-like Q1 (T x T) and orthonormal Q2 (S x T)
+    num_targets = len(singular_values)
+    left, _ = np.linalg.qr(crandn(rng, (num_targets, num_targets)))
+    right, _ = np.linalg.qr(crandn(rng, (num_streams, num_targets)))
+    return (left * np.asarray(singular_values)) @ right.conj().T
+
+
+def svd_polar_factor(a):
+    # the unitary step as an SVD of one member's A alone: u @ vh
+    u, _, vh = np.linalg.svd(a[None], full_matrices=False)
+    return (u @ vh)[0]
+
+
+def unitary_step_of(a_stack):
+    # with one chain per target and identity radar block sums, A = G_rad^H F_BB is F_BB
+    import dfrcbeam.altmin as altmin_module
+    num_targets = a_stack.shape[1]
+    identity = np.eye(num_targets, dtype=complex)
+    g_rad = np.broadcast_to(identity, (len(a_stack),) + identity.shape)
+    return altmin_module._unitary_step(g_rad, a_stack)
+
+
+def counting_svd(monkeypatch):
+    original = np.linalg.svd
+    sizes = []
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("num_targets, num_streams",
+                         [(1, 1), (1, 4), (2, 3), (3, 3), (3, 6), (6, 6)])
+def test_unitary_step_polar_factor_matches_the_svd(monkeypatch, num_targets, num_streams):
+    rng = np.random.default_rng(100 + 10 * num_targets + num_streams)
+    stack = []
+    for _ in range(40):
+        # condition numbers up to 9.9, so every Gram has w_min / w_max > 1e-2
+        values = rng.uniform(1.0, 9.9, num_targets)
+        values[0], values[-1] = 1.0, 9.9 if num_targets > 1 else 1.0
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        stack.append(matrices_with_singular_values(rng, scale * values, num_streams))
+    stack = np.array(stack)
+    sizes = counting_svd(monkeypatch)
+    unitaries = unitary_step_of(stack)
+    assert sizes == []  # every member took the Gram's eigendecomposition
+    monkeypatch.undo()
+    for a, u in zip(stack, unitaries):
+        assert np.abs(u - svd_polar_factor(a)).max() <= 1e-13
+
+
+def test_unitary_step_takes_the_svd_below_the_ratio_and_matches_its_members(monkeypatch):
+    rng = np.random.default_rng(120)
+    well = [matrices_with_singular_values(rng, values, 5)
+            for values in ([1.0, 2.0, 3.0], [0.5, 1.0, 4.0], [2.0, 2.0, 2.0])]
+    ill = [matrices_with_singular_values(rng, values, 5)
+           for values in ([1.0, 2.0, 30.0], [0.01, 1.0, 1.0])]
+    rank_one = np.outer(crandn(rng, 3), crandn(rng, 5))
+    zero = np.zeros((3, 5), dtype=complex)
+    stack = np.array([well[0], ill[0], zero, well[1], rank_one, ill[1], well[2]])
+    fallback = [1, 2, 4, 5]
+    sizes = counting_svd(monkeypatch)
+    unitaries = unitary_step_of(stack)
+    assert sizes == [len(fallback)]  # one batched SVD of the four members below the ratio
+    singles = [unitary_step_of(stack[i:i + 1])[0] for i in range(len(stack))]
+    monkeypatch.undo()
+    for i, (a, u) in enumerate(zip(stack, unitaries)):
+        assert np.array_equal(u, singles[i])  # stacked equals one-member, bit for bit
+        if i in fallback:
+            assert np.array_equal(u, svd_polar_factor(a))
+        else:
+            assert np.abs(u - svd_polar_factor(a)).max() <= 1e-13
+
+
+def test_unitary_step_gives_the_svd_to_grams_that_overflow_or_are_subnormal(monkeypatch):
+    rng = np.random.default_rng(121)
+    base = matrices_with_singular_values(rng, [1.0, 2.0, 3.0], 4)
+    # squares of 1e200 overflow; squares of 1e-160 are subnormal, 1e-120 still normal
+    stack = np.array([base, 1e200 * base, 1e-160 * base, 1e-120 * base])
+    sizes = counting_svd(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unitaries = unitary_step_of(stack)
+    assert sizes == [2]
+    monkeypatch.undo()
+    for i in (1, 2):
+        assert np.array_equal(unitaries[i], svd_polar_factor(stack[i]))
+    for i in (0, 3):
+        assert np.abs(unitaries[i] - svd_polar_factor(stack[i])).max() <= 1e-13
+
+
+def test_solve_unitary_of_a_zero_or_rank_deficient_product_is_the_svd_basis():
+    rng = np.random.default_rng(122)
+    f_rad = crandn(rng, (8, 3))
+    for product in (np.zeros((8, 5), dtype=complex), np.outer(crandn(rng, 8), crandn(rng, 5))):
+        a = (f_rad[None].conj().swapaxes(-1, -2) @ product[None])[0]  # as the step forms it
+        assert np.array_equal(solve_unitary(f_rad, product).matrix, svd_polar_factor(a))
 
 
 def test_solve_analog_single_rotation():
@@ -335,12 +439,25 @@ def test_alternating_minimization_skips_dense_analog_and_sphere_solver(monkeypat
     def forbidden(*args, **kwargs):
         raise AssertionError("dense path reached")
 
+    original_eigh = np.linalg.eigh
+    grams = []
+
+    def polar_gram_only(a, *args, **kwargs):
+        # the one eigh allowed: the unitary step's (B, T, T) Grams A A^H of the
+        # T x S matrices A = G_rad^H F_BB, here T = 3 targets and S = 4 streams
+        if a.ndim != 3 or a.shape[1:] != (3, 3):
+            raise AssertionError("dense path reached")
+        grams.append(a)
+        return original_eigh(a, *args, **kwargs)
+
     monkeypatch.setattr(AnalogBeamformer, "to_matrix", forbidden)
     monkeypatch.setattr(altmin_module, "solve_sphere_least_squares", forbidden)
-    monkeypatch.setattr(np.linalg, "eigh", forbidden)
-    f_com, f_rad = toy_problem(59)
+    monkeypatch.setattr(np.linalg, "eigh", polar_gram_only)
+    f_com, f_rad = toy_problem(59, num_streams=4)
     config = AltMinConfig(eta=0.5, total_power=3.0, max_iterations=5, rng_seed=2)
-    assert alternating_minimization(f_com, f_rad, 4, config).iterations_used >= 1
+    report = alternating_minimization(f_com, f_rad, 4, config)
+    assert report.iterations_used >= 1
+    assert len(grams) == report.iterations_used
 
 
 def test_alternating_minimization_materializes_only_at_start_and_exit(monkeypatch):
@@ -472,9 +589,9 @@ def test_alternating_minimization_validates_structure():
     rng = np.random.default_rng(66)
     config = AltMinConfig(eta=0.5, total_power=1.0)
     f_com = crandn(rng, (12, 3))
-    with pytest.raises(ValueError):
-        alternating_minimization(f_com, crandn(rng, (12, 5)), 4, config)  # 12 % 5 != 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="as many streams as radar targets"):
+        alternating_minimization(f_com, crandn(rng, (12, 5)), 4, config)  # 5 targets > 3 streams
+    with pytest.raises(ValueError, match="not divisible"):
         alternating_minimization(f_com, crandn(rng, (12, 3)), 5, config)  # 12 % 5 != 0
     with pytest.raises(ValueError):
         alternating_minimization(crandn(rng, (12, 2)), crandn(rng, (12, 3)), 4, config)
@@ -606,10 +723,12 @@ def test_stack_names_the_problem_of_a_member_whose_svd_fails(monkeypatch):
     problems = [(target, [AltMinConfig(eta=eta, total_power=3.0, rng_seed=seed)
                           for eta in (0.3, 0.6)])
                 for seed, target in enumerate((f_com, other))]
-    original = np.linalg.svd
+    original = np.linalg.eigh
     calls, spoiled = [], []
 
     def failing(a, *args, **kwargs):
+        # the unitary step's batched eigh of the Grams, failing on one member's
+        # Gram with the message of a LAPACK failure
         calls.append(len(a))
         if len(calls) == 2:
             spoiled.append(a[3].copy())  # the second member of problem 1
@@ -617,7 +736,7 @@ def test_stack_names_the_problem_of_a_member_whose_svd_fails(monkeypatch):
             raise np.linalg.LinAlgError("SVD did not converge")
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", failing)
+    monkeypatch.setattr(np.linalg, "eigh", failing)
     with pytest.raises(SolverError, match=r"^SVD did not converge at eta=0\.6$") as caught:
         alternating_minimization_stack(problems, f_rad, 4)
     assert caught.value.problem == 1

@@ -893,6 +893,20 @@ def test_cli_reports_a_failed_write_as_exit_2(tmp_path, capsys, monkeypatch, wri
                  "--out", str(out)]) == 2
     failed = out if writer == "write_csv" else tmp_path / "trace.csv.meta.json"
     assert f"cannot write {failed}: " in capsys.readouterr().err
+    # neither half of a result stays behind: the exit code disowns the CSV too
+    assert not out.exists()
+    assert not (tmp_path / "trace.csv.meta.json").exists()
+
+
+@pytest.mark.parametrize("command", [["rate-sweep"], ["beampattern", "--eta", "0.5"],
+                                     ["convergence", "--eta", "0.5"]])
+def test_a_sidecar_path_that_is_a_directory_leaves_no_csv(tmp_path, capsys, command):
+    config_path = write_toy_config(tmp_path)
+    out = tmp_path / "blocked.csv"
+    (tmp_path / "blocked.csv.meta.json").mkdir()
+    assert main([*command, "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"cannot write {out}.meta.json: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, field, value", [
