@@ -66,13 +66,10 @@ from .ula import TWO_PI
 class SolverError(RuntimeError):
     """A numerical subproblem could not be solved to its contract.
 
-    `problem` is the index of the failing problem of a stacked solve, or None
-    where the error belongs to no single problem.
+    A member's error names its eta, not its problem: each problem of a stacked
+    solve gives bit for bit its stacked designs when solved alone, so solving
+    the problems one at a time finds the one that fails.
     """
-
-    def __init__(self, message: str, problem: int | None = None) -> None:
-        super().__init__(message)
-        self.problem = problem
 
 
 @dataclass(frozen=True)
@@ -281,9 +278,9 @@ def solve_analog(baseband, f_com, f_rad_u, eta: float,
         raise ValueError(f"{num_antennas} antennas not divisible by {num_rf} RF chains")
     fallback = (np.exp(-1j * previous.phases) if previous is not None
                 else np.ones(num_antennas, dtype=complex))
-    identity = np.eye(num_streams, dtype=complex)[None]
-    phasors = _analog_step(_chain_targets(f_com, f_rad_u, num_rf), baseband[None], identity,
-                           np.array([eta], dtype=float), fallback[None])
+    mix = _mixing(np.eye(num_streams, dtype=complex)[None], np.array([eta], dtype=float))
+    phasors = _analog_step(_chain_targets(f_com, f_rad_u, num_rf), baseband[None], mix,
+                           fallback[None])
     return AnalogBeamformer(num_antennas, num_rf, canonical_phases(-np.angle(phasors[0])))
 
 
@@ -299,26 +296,23 @@ def _mixing(unitaries: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return mix
 
 
-def _analog_step(targets: np.ndarray, basebands: np.ndarray, unitaries: np.ndarray,
-                 eta: np.ndarray, previous: np.ndarray, rows=None, mix=None) -> np.ndarray:
+def _analog_step(targets: np.ndarray, basebands: np.ndarray, mix: np.ndarray,
+                 previous: np.ndarray, rows=None) -> np.ndarray:
     """`solve_analog` for a stack: chain targets and `rows` as for `_block_sums`, basebands
-    (B, R, S), unitaries (B, T, S), weights (B,) and the phasors (B, N) kept
-    where the correlation is zero; returns the optimal phasors e^{-j phi},
-    conj(c) / |c| for each antenna's correlation c.  `mix` is
-    `_mixing(unitaries, eta)` where the caller has formed it already.
+    (B, R, S), the mixing matrices `_mixing(unitaries, eta)` and the phasors
+    (B, N) kept where the correlation is zero; returns the optimal phasors
+    e^{-j phi}, conj(c) / |c| for each antenna's correlation c.
 
     <t_i, b_c> = eta <f_com,i, b_c> + (1 - eta) <f_rad,i, b_c U^H>, so each
     antenna correlates its target row with one (S + T)-vector of its chain,
     [eta conj(b_c) | (1 - eta) conj(b_c) U^T] = conj(b_c) mix^T.
     """
-    if mix is None:
-        mix = _mixing(unitaries, eta)
     num_rf, block, _ = targets.shape[-3:]
     chain_vectors = (basebands.conj() @ mix.swapaxes(-1, -2))[..., None]
-    corr = np.empty((len(eta), num_rf, block, 1), dtype=complex)
+    corr = np.empty((len(basebands), num_rf, block, 1), dtype=complex)
     for problem_targets, members in rows or [(targets, slice(None))]:
         np.matmul(problem_targets, chain_vectors[members], out=corr[members])
-    corr = corr.reshape(len(eta), -1)
+    corr = corr.reshape(len(basebands), -1)
     magnitude = np.abs(corr)
     phasors = np.conjugate(corr, out=corr)
     if magnitude.all():
@@ -430,24 +424,22 @@ def solve_baseband(analog: AnalogBeamformer, f_com, f_rad_u, eta: float,
         raise ValueError(f"targets have {f_com.shape[0]} rows, expected {analog.num_antennas}")
     targets = _chain_targets(f_com, f_rad_u, analog.num_rf_chains)
     sums = _block_sums(np.exp(-1j * analog.phases)[None], targets)
-    identity = np.eye(f_com.shape[1], dtype=complex)[None]
-    basebands, _ = _baseband_step(sums, identity, np.array([eta], dtype=float),
-                                  analog.num_antennas, total_power)
+    eta = np.array([eta], dtype=float)
+    mix = _mixing(np.eye(f_com.shape[1], dtype=complex)[None], eta)
+    basebands, _ = _baseband_step(sums, mix, eta, analog.num_antennas, total_power)
     return BasebandBeamformer(basebands[0])
 
 
-def _baseband_step(sums: np.ndarray, unitaries: np.ndarray, eta: np.ndarray,
-                   num_antennas: int, total_power: float, problems=None, mix=None):
+def _baseband_step(sums: np.ndarray, mix: np.ndarray, eta: np.ndarray,
+                   num_antennas: int, total_power: float):
     """`solve_baseband` for a stack: block sums (B, R, S + T) of the new phases,
-    unitaries (B, T, S) and weights (B,); returns the (B, R, S) basebands and
-    ||G||_F per member, taken before the zero-target fallback.  `eta` and the
-    members' problem indices `problems` (default: all 0) name the failing
-    member in errors; `mix` is `_mixing(unitaries, eta)` where the caller has
-    formed it already."""
-    g = sums @ (_mixing(unitaries, eta) if mix is None else mix)
+    the mixing matrices `_mixing(unitaries, eta)` and the weights (B,), which
+    name the failing members in errors; returns the (B, R, S) basebands and
+    ||G||_F per member, taken before the zero-target fallback."""
+    g = sums @ mix
     if not np.isfinite(g).all():
         raise _member_error("non-finite entries in the baseband target",
-                            ~np.isfinite(g).all(axis=(1, 2)), eta, problems)
+                            ~np.isfinite(g).all(axis=(1, 2)), eta)
     norm_sq = np.square(g.view(np.float64)).sum(axis=(1, 2))
     g_norms = np.sqrt(norm_sq)
     nonzero = norm_sq > 0
@@ -480,32 +472,27 @@ def _chain_objective(offsets: np.ndarray, g_norms: np.ndarray,
     return offsets - 2.0 * math.sqrt(baseband_power) * g_norms
 
 
-def _member_error(message: str, failing: np.ndarray, eta: np.ndarray,
-                  problems=None) -> SolverError:
-    """`SolverError` naming the etas of the failing members of the first
-    problem that has any; `problems` gives each member's problem (default: all 0)."""
-    problems = np.zeros(len(eta), dtype=int) if problems is None else problems
-    problem = int(problems[failing][0])
-    etas = ", ".join(f"eta={e}" for e in eta[failing & (problems == problem)])
-    return SolverError(f"{message} at {etas}", problem)
+def _member_error(message: str, failing: np.ndarray, eta: np.ndarray) -> SolverError:
+    """`SolverError` naming the etas of every failing member."""
+    etas = ", ".join(f"eta={e}" for e in eta[failing])
+    return SolverError(f"{message} at {etas}")
 
 
-def _check_finite_objective(values: np.ndarray, eta: np.ndarray, problems=None) -> None:
-    """Raise `SolverError` naming the members whose objective is not finite
-    (see `_member_error`).
+def _check_finite_objective(values: np.ndarray, eta: np.ndarray) -> None:
+    """Raise `SolverError` naming the members whose objective is not finite.
 
     Such a member could never meet its tolerance, so it would otherwise run to
     `max_iterations` and report a NaN or infinite trace.
     """
     finite = np.isfinite(values)
     if not finite.all():
-        raise _member_error("non-finite objective", ~finite, eta, problems)
+        raise _member_error("non-finite objective", ~finite, eta)
 
 
 def _unitary_failure(exc: np.linalg.LinAlgError, g_rad: np.ndarray, basebands: np.ndarray,
-                     eta: np.ndarray, problems: np.ndarray) -> SolverError:
-    """`SolverError` naming the members whose unitary step fails on its own
-    (see `_member_error`): a batched `eigh` or SVD raises for the whole stack."""
+                     eta: np.ndarray) -> SolverError:
+    """`SolverError` naming the members whose unitary step fails on its own:
+    a batched `eigh` or SVD raises for the whole stack."""
     failing = np.zeros(len(eta), dtype=bool)
     for i in range(len(eta)):
         try:
@@ -514,7 +501,7 @@ def _unitary_failure(exc: np.linalg.LinAlgError, g_rad: np.ndarray, basebands: n
             failing[i] = True
     if not failing.any():
         return SolverError(str(exc))
-    return _member_error(str(exc), failing, eta, problems)
+    return _member_error(str(exc), failing, eta)
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -599,7 +586,8 @@ def alternating_minimization_stack(problems, f_rad,
     offset.  So a member that fails inside the loop (a non-finite objective
     or an SVD failure) raises its error even where a member that left earlier
     would fail that exit check.  A `SolverError` of a member, a `LinAlgError`
-    of its SVD among them, names its eta and carries its problem's index.
+    of its SVD among them, names its eta only: a problem alone gives bit for
+    bit its stacked designs, so solving each alone finds the one that fails.
     Returns one list of reports per problem, each in the order of its configs.
     """
     problems = [(np.asarray(f_com, dtype=complex), list(configs)) for f_com, configs in problems]
@@ -639,7 +627,7 @@ def alternating_minimization_stack(problems, f_rad,
         values.append(objective(analog, baseband, unitary, f_com, f_rad, weights))
     problem_of = np.repeat(np.arange(len(problems)), counts)
     eta, offsets, values = (np.concatenate(a) for a in (eta, offsets, values))
-    _check_finite_objective(values, eta, problem_of)
+    _check_finite_objective(values, eta)
     phasors, basebands = (np.repeat(np.stack(a), counts, axis=0) for a in zip(*starts))
     baseband_power = num_rf_chains * first.total_power / num_antennas
     # the radar block sums of one iteration's phasors feed the next unitary step
@@ -659,17 +647,16 @@ def alternating_minimization_stack(problems, f_rad,
         try:
             unitaries = _unitary_step(g_rad, basebands)
         except np.linalg.LinAlgError as exc:
-            raise _unitary_failure(exc, g_rad, basebands, eta, problem_of) from exc
+            raise _unitary_failure(exc, g_rad, basebands, eta) from exc
         _check_orthonormal_rows(unitaries)
         mix = _mixing(unitaries, eta)
-        phasors = _analog_step(targets, basebands, unitaries, eta, phasors, rows, mix)
+        phasors = _analog_step(targets, basebands, mix, phasors, rows)
         sums = _block_sums(phasors, targets, rows)
-        basebands, g_norms = _baseband_step(sums, unitaries, eta, num_antennas,
-                                            first.total_power, problem_of, mix)
+        basebands, g_norms = _baseband_step(sums, mix, eta, num_antennas, first.total_power)
         g_rad = sums[..., num_streams:]
         previous = values
         values = _chain_objective(offsets, g_norms, baseband_power)
-        _check_finite_objective(values, eta, problem_of)
+        _check_finite_objective(values, eta)
         for member, value in zip(members.tolist(), values.tolist()):
             traces[member].append(value)
         converged = np.abs(values - previous) < thresholds
@@ -691,9 +678,8 @@ def alternating_minimization_stack(problems, f_rad,
         rows = _problem_rows(targets, np.bincount(problem_of, minlength=len(problems)).tolist())
     return [_exit_reports(f_com, f_rad, num_rf_chains, config_eta[own], config_offsets[own],
                           parked_phasors[own], parked_basebands[own], parked_unitaries[own],
-                          parked_converged[own], traces[own], problem)
-            for problem, ((f_com, _), (_, own))
-            in enumerate(zip(problems, _problem_rows(targets, counts)))]
+                          parked_converged[own], traces[own])
+            for (f_com, _), (_, own) in zip(problems, _problem_rows(targets, counts))]
 
 
 def _prechecked(cls, **fields):
@@ -709,8 +695,8 @@ def _prechecked(cls, **fields):
 
 def _exit_reports(f_com: np.ndarray, f_rad: np.ndarray, num_rf_chains: int, eta: np.ndarray,
                   offsets: np.ndarray, phasors: np.ndarray, basebands: np.ndarray,
-                  unitaries: np.ndarray, converged: np.ndarray, traces: list,
-                  problem: int) -> list[AltMinReport]:
+                  unitaries: np.ndarray, converged: np.ndarray,
+                  traces: list) -> list[AltMinReport]:
     """The reports of one problem, once the loop has ended, from its members'
     final phasors (E, N), basebands (E, R, S), unitaries (E, T, S) and
     traces: the designs are phased, materialized and scored in one pass.
@@ -722,7 +708,8 @@ def _exit_reports(f_com: np.ndarray, f_rad: np.ndarray, num_rf_chains: int, eta:
     (`_objective_offsets`): both values are that offset minus a term of at
     most its size, so rounding scales with it, and not with the objective.
     It is raised only after the whole loop has run, so an error of any
-    member inside the loop comes first; both name their eta and `problem`.
+    member inside the loop comes first; both name their eta only (see
+    `SolverError`).
     """
     phases = canonical_phases(-np.angle(phasors))
     products = materialize_product(phases, basebands)
@@ -732,7 +719,7 @@ def _exit_reports(f_com: np.ndarray, f_rad: np.ndarray, num_rf_chains: int, eta:
     if disagree.any():
         i = int(np.argmax(disagree))
         raise SolverError(f"block-sum objective {traces[i][-1]!r} disagrees with the exact "
-                          f"{float(exact[i])!r} at eta={float(eta[i])}", problem)
+                          f"{float(exact[i])!r} at eta={float(eta[i])}")
     num_antennas = phasors.shape[1]
     reports = []
     for i, (trace, value) in enumerate(zip(traces, exact.tolist())):

@@ -295,29 +295,29 @@ def design_trial(config: ExperimentConfig, eta: float, trial: int,
 def _chunk_designs(config: ExperimentConfig, trials, f_rad: np.ndarray,
                    etas) -> list[list[TrialDesign]]:
     """The designs of each of `trials` at `etas`, in order, from one draw per
-    trial and one stacked solve for the chunk."""
-    failing = None  # the trial being drawn or designed
+    trial and one stacked solve for the chunk.
+
+    When a chunk of several trials fails, its trials are designed again one at
+    a time, and the first that fails alone raises its own error.  A trial alone
+    gives bit for bit its designs in the chunk, so the error names the lowest
+    failing trial and its own message, however the trials were chunked.
+    """
     try:
-        drawn = []
-        for failing in trials:
-            drawn.append(draw_trial(config, failing))
-        failing = None
+        drawn = [draw_trial(config, trial) for trial in trials]
         stack = altmin.DesignStack(f_rad, config.n_rf, [
             (f_com, [_altmin_config(config, eta, trial) for eta in etas])
             for trial, (_, f_com, _) in zip(trials, drawn)])
         designs = []
-        for failing, (realization, f_com, w_com) in zip(trials, drawn):
+        for trial, (realization, f_com, w_com) in zip(trials, drawn):
             draw = TrialDraw(realization, f_com, w_com, f_rad, stack)
-            designs.append([design_trial(config, eta, failing, draw) for eta in etas])
+            designs.append([design_trial(config, eta, trial, draw) for eta in etas])
         return designs
     except (altmin.SolverError, np.linalg.LinAlgError) as exc:
-        # a failure of the stacked solve names its problem, which is its
-        # trial's place in the chunk, if it knows one
-        problem = getattr(exc, "problem", None)
-        if failing is None and (problem is not None or len(trials) == 1):
-            failing = trials[problem or 0]
-        label = f"trials {trials[0]}-{trials[-1]}" if failing is None else f"trial {failing}"
-        raise altmin.SolverError(f"{label} failed: {exc}") from exc
+        if len(trials) == 1:
+            raise altmin.SolverError(f"trial {trials[0]} failed: {exc}") from exc
+        for trial in trials:
+            _chunk_designs(config, [trial], f_rad, etas)
+        raise altmin.SolverError(f"trials {trials[0]}-{trials[-1]} failed: {exc}") from exc
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -354,18 +354,22 @@ def _rate_chunk(task) -> tuple[np.ndarray, np.ndarray]:
         reports = [design.report for design in designs]
         h, w_com = designs[0].channel.matrix, designs[0].w_com
         products = np.stack([r.product for r in reports])
-        # (snr, eta) from one stacked call per snr, stored as (eta, snr)
-        rates.append(np.stack([metrics.achievable_rate(h, products, w_com, snr)
-                               for snr in config.snr_db_values], axis=1))
+        # (snr, eta) from one stacked call per snr, stored as (eta, snr); an
+        # overflow is reported below, as a config error
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates.append(np.stack([metrics.achievable_rate(h, products, w_com, snr)
+                                   for snr in config.snr_db_values], axis=1))
         results.append([(r.comm_error, r.radar_error, r.iterations_used, r.converged)
                         for r in reports])
     rates = np.array(rates)
-    # a linear SNR near the float limit can overflow inside the rate
+    # the rate scales with the linear SNR times the transmit power, and a large
+    # enough product of the two overflows inside it
     overflowed = ~np.isfinite(rates).all(axis=(0, 1))
     if overflowed.any():
         snr = config.snr_db_values[int(np.argmax(overflowed))]
-        raise ConfigError(f"snr_db_values entry {snr!r} is too large: its "
-                          f"rates are not finite")
+        raise ConfigError(f"snr_db_values entry {snr!r} and total_power "
+                          f"{config.total_power!r} give rates that are not finite; "
+                          f"lower either")
     return rates, np.array(results, dtype=float)
 
 

@@ -58,6 +58,9 @@ class Stack:
     def radar_sums(self) -> np.ndarray:
         return self.block_sums()[..., self.f_com.shape[1]:]
 
+    def mixing(self, members=slice(None)) -> np.ndarray:
+        return altmin._mixing(self.unitaries[members], self.eta[members])
+
 
 @st.composite
 def stacks(draw, sizes):
@@ -106,8 +109,8 @@ def check_unitary_step(p: Stack):
 
 def analog_step(p: Stack, members=slice(None)):
     # the step maps phasors e^{-j phi} to phasors; phases are formed as the loop does
-    phasors = altmin._analog_step(p.targets(), p.basebands[members], p.unitaries[members],
-                                  p.eta[members], np.exp(-1j * p.phases[members]))
+    phasors = altmin._analog_step(p.targets(), p.basebands[members], p.mixing(members),
+                                  np.exp(-1j * p.phases[members]))
     return canonical_phases(-np.angle(phasors))
 
 
@@ -120,7 +123,7 @@ def check_analog_step(p: Stack):
 
 def baseband_step(p: Stack, members=slice(None)):
     num_antennas = p.phases.shape[1]
-    return altmin._baseband_step(p.block_sums()[members], p.unitaries[members], p.eta[members],
+    return altmin._baseband_step(p.block_sums()[members], p.mixing(members), p.eta[members],
                                  num_antennas, p.total_power)
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -400,18 +401,93 @@ def test_a_failing_member_names_its_trial_within_the_chunk(monkeypatch):
     assert str(caught.value) == "trial 1 failed: non-finite objective at eta=0.0, eta=0.8"
 
 
-def test_a_stack_failure_without_a_member_names_the_chunk(monkeypatch):
+def test_a_stack_failure_names_the_first_trial_that_fails_alone(monkeypatch):
     def failing(problems, f_rad, num_rf_chains):
         raise np.linalg.LinAlgError("synthetic failure")
 
     monkeypatch.setattr(altmin, "alternating_minimization_stack", failing)
     with pytest.raises(altmin.SolverError) as caught:
         run_rate_sweep(toy_config(num_trials=3, eta_values=[0.0, 0.8]))
-    assert str(caught.value) == "trials 0-2 failed: synthetic failure"
+    assert str(caught.value) == "trial 0 failed: synthetic failure"
     config = toy_config()
     with pytest.raises(altmin.SolverError) as caught:
         _chunk_designs(config, [4], radar_target(config), (0.5,))
     assert str(caught.value) == "trial 4 failed: synthetic failure"
+
+
+def test_a_stack_failure_of_no_single_trial_names_the_chunk(monkeypatch):
+    original = altmin.alternating_minimization_stack
+
+    def failing(problems, f_rad, num_rf_chains):
+        if len(problems) > 1:
+            raise np.linalg.LinAlgError("synthetic failure")
+        return original(problems, f_rad, num_rf_chains)
+
+    monkeypatch.setattr(altmin, "alternating_minimization_stack", failing)
+    with pytest.raises(altmin.SolverError) as caught:
+        run_rate_sweep(toy_config(num_trials=3, eta_values=[0.0, 0.8]))
+    assert str(caught.value) == "trials 0-2 failed: synthetic failure"
+
+
+def test_a_lapack_failure_names_its_trial_within_the_chunk(monkeypatch):
+    original = np.linalg.eigh
+    calls, spoiled = [], []
+
+    def failing(a, *args, **kwargs):
+        # the unitary step's batched eigh of the Grams: from the second call of
+        # the chunk's stack on, the Gram of trial 1 at eta 0.8 fails, whatever
+        # stack it is in
+        calls.append(len(a))
+        if len(calls) == 2:
+            spoiled.append(a[3].copy())
+        if spoiled and any(np.array_equal(m, spoiled[0]) for m in a):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(altmin.SolverError) as caught:
+        run_rate_sweep(toy_config(num_trials=3, eta_values=[0.0, 0.8]))
+    assert str(caught.value) == "trial 1 failed: SVD did not converge at eta=0.8"
+    assert calls[:2] == [6, 6]
+
+
+def test_a_sweep_names_its_lowest_failing_trial_however_it_is_chunked(monkeypatch):
+    # trial 2 fails only the exit check, after the loop, and trial 3 at its
+    # start, so a stack that holds both raises trial 3's error first
+    import dfrcbeam.cli as cli_module
+    config = toy_config(n_rx=3, n_streams=3, target_angles_deg=[-30.0, 0.0, 30.0],
+                        eta_values=[0.2, 0.5, 0.8], num_trials=10)
+    spoiled = draw_trial(config, 2)[1]
+    original_draw, original_errors = cli_module.draw_trial, metrics.fitting_errors
+
+    def overflowing(cfg, trial):
+        realization, f_com, w_com = original_draw(cfg, trial)
+        if trial == 3:
+            f_com = np.full_like(f_com, 1e308)
+        return realization, f_com, w_com
+
+    def disagreeing(products, f_com, f_rad_u, eta):
+        comm, radar, exact = original_errors(products, f_com, f_rad_u, eta)
+        if np.ndim(products) == 3 and np.array_equal(f_com, spoiled):
+            exact = exact + 1.0  # only the exit pass scores a stack of products
+        return comm, radar, exact
+
+    monkeypatch.setattr(cli_module, "draw_trial", overflowing)
+    monkeypatch.setattr(metrics, "fitting_errors", disagreeing)
+    # the pool maps in process, in chunk order, as a process pool's map reports
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 8)
+    messages = set()
+    for trials_per_stack in (1, 5):
+        monkeypatch.setattr(cli_module, "TRIALS_PER_STACK", trials_per_stack)
+        for workers in (1, 4):
+            with np.errstate(all="ignore"), pytest.raises(altmin.SolverError) as caught:
+                run_rate_sweep(config, workers)
+            messages.add(str(caught.value))
+    [message] = messages
+    assert message.startswith("trial 2 failed: block-sum objective ")
+    assert RecordingPool.sizes == [4, 4]
 
 
 @pytest.mark.parametrize("failing", [0, 1])
@@ -1123,5 +1199,19 @@ def test_cli_rejects_an_snr_whose_rates_overflow(tmp_path, capsys, snr_db):
     out = tmp_path / "x.csv"
     assert main(["rate-sweep", "--config", str(config_path), "--out", str(out)]) == 2
     assert f"snr_db_values entry {snr_db!r}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "x.csv.meta.json").exists()
+
+
+def test_cli_names_the_total_power_whose_rates_overflow(tmp_path, capsys):
+    # 30 dB is an ordinary SNR: the rates overflow because of the power
+    config_path = write_toy_config(tmp_path, num_trials=2, total_power=1e306,
+                                   snr_db_values=[-10.0, 30.0])
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["rate-sweep", "--config", str(config_path), "--out", str(out)]) == 2
+    assert "snr_db_values entry 30.0 and total_power 1e+306" in capsys.readouterr().err
+    assert not seen
     assert not out.exists()
     assert not (tmp_path / "x.csv.meta.json").exists()
