@@ -51,20 +51,6 @@ class AnalogBeamformer:
             raise ValueError("phases must be finite")
         object.__setattr__(self, "phases", phases)
 
-    @property
-    def block_size(self) -> int:
-        return self.num_antennas // self.num_rf_chains
-
-    def chain_of_antenna(self) -> np.ndarray:
-        """RF chain index feeding each antenna, in antenna order."""
-        return np.arange(self.num_antennas) // self.block_size
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense (num_antennas x num_rf_chains) matrix with one unit-modulus entry per row."""
-        m = np.zeros((self.num_antennas, self.num_rf_chains), dtype=complex)
-        m[np.arange(self.num_antennas), self.chain_of_antenna()] = np.exp(1j * self.phases)
-        return m
-
 
 @dataclass(frozen=True)
 class BasebandBeamformer:
