@@ -66,9 +66,9 @@ from .ula import TWO_PI
 class SolverError(RuntimeError):
     """A numerical subproblem could not be solved to its contract.
 
-    A member's error names its eta, not its problem: each problem of a stacked
-    solve gives bit for bit its stacked designs when solved alone, so solving
-    the problems one at a time finds the one that fails.
+    The error of a stacked solve names no member: each config of it gives bit
+    for bit its stacked design when solved alone, so solving the configs one
+    at a time finds the one that fails.
     """
 
 
@@ -346,20 +346,18 @@ def solve_baseband(analog: AnalogBeamformer, f_com, f_rad_u, eta: float,
     sums = _block_sums(np.exp(-1j * analog.phases)[None], targets)
     eta = np.array([eta], dtype=float)
     mix = _mixing(np.eye(f_com.shape[1], dtype=complex)[None], eta)
-    basebands, _ = _baseband_step(sums, mix, eta, analog.num_antennas, total_power)
+    basebands, _ = _baseband_step(sums, mix, analog.num_antennas, total_power)
     return BasebandBeamformer(basebands[0])
 
 
-def _baseband_step(sums: np.ndarray, mix: np.ndarray, eta: np.ndarray,
-                   num_antennas: int, total_power: float):
-    """`solve_baseband` for a stack: block sums (B, R, S + T) of the new phases,
-    the mixing matrices `_mixing(unitaries, eta)` and the weights (B,), which
-    name the failing members in errors; returns the (B, R, S) basebands and
-    ||G||_F per member, taken before the zero-target fallback."""
+def _baseband_step(sums: np.ndarray, mix: np.ndarray, num_antennas: int,
+                   total_power: float):
+    """`solve_baseband` for a stack: block sums (B, R, S + T) of the new phases
+    and the mixing matrices `_mixing(unitaries, eta)`; returns the (B, R, S)
+    basebands and ||G||_F per member, taken before the zero-target fallback."""
     g = sums @ mix
     if not np.isfinite(g).all():
-        raise _member_error("non-finite entries in the baseband target",
-                            ~np.isfinite(g).all(axis=(1, 2)), eta)
+        raise SolverError("non-finite entries in the baseband target")
     norm_sq = np.square(g.view(np.float64)).sum(axis=(1, 2))
     g_norms = np.sqrt(norm_sq)
     nonzero = norm_sq > 0
@@ -392,36 +390,14 @@ def _chain_objective(offsets: np.ndarray, g_norms: np.ndarray,
     return offsets - 2.0 * math.sqrt(baseband_power) * g_norms
 
 
-def _member_error(message: str, failing: np.ndarray, eta: np.ndarray) -> SolverError:
-    """`SolverError` naming the etas of every failing member."""
-    etas = ", ".join(f"eta={e}" for e in eta[failing])
-    return SolverError(f"{message} at {etas}")
-
-
-def _check_finite_objective(values: np.ndarray, eta: np.ndarray) -> None:
-    """Raise `SolverError` naming the members whose objective is not finite.
+def _check_finite_objective(values: np.ndarray) -> None:
+    """Raise `SolverError` if a member's objective is not finite.
 
     Such a member could never meet its tolerance, so it would otherwise run to
     `max_iterations` and report a NaN or infinite trace.
     """
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise _member_error("non-finite objective", ~finite, eta)
-
-
-def _unitary_failure(exc: np.linalg.LinAlgError, g_rad: np.ndarray, basebands: np.ndarray,
-                     eta: np.ndarray) -> SolverError:
-    """`SolverError` naming the members whose unitary step fails on its own:
-    a batched `eigh` or SVD raises for the whole stack."""
-    failing = np.zeros(len(eta), dtype=bool)
-    for i in range(len(eta)):
-        try:
-            _unitary_step(g_rad[i:i + 1], basebands[i:i + 1])
-        except np.linalg.LinAlgError:
-            failing[i] = True
-    if not failing.any():
-        return SolverError(str(exc))
-    return _member_error(str(exc), failing, eta)
+    if not np.isfinite(values).all():
+        raise SolverError("non-finite objective")
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -505,9 +481,9 @@ def alternating_minimization_stack(problems, f_rad,
     the block-sum value by more than 1e-13 times the member's objective
     offset.  So a member that fails inside the loop (a non-finite objective
     or an SVD failure) raises its error even where a member that left earlier
-    would fail that exit check.  A `SolverError` of a member, a `LinAlgError`
-    of its SVD among them, names its eta only: a problem alone gives bit for
-    bit its stacked designs, so solving each alone finds the one that fails.
+    would fail that exit check.  Errors name no member (a `LinAlgError` of the
+    unitary step is raised as a `SolverError`): each config alone gives bit for
+    bit its stacked design, so solving the configs alone finds the one that fails.
     Returns one list of reports per problem, each in the order of its configs.
     """
     problems = [(np.asarray(f_com, dtype=complex), list(configs)) for f_com, configs in problems]
@@ -547,7 +523,7 @@ def alternating_minimization_stack(problems, f_rad,
         values.append(objective(analog, baseband, unitary, f_com, f_rad, weights))
     problem_of = np.repeat(np.arange(len(problems)), counts)
     eta, offsets, values = (np.concatenate(a) for a in (eta, offsets, values))
-    _check_finite_objective(values, eta)
+    _check_finite_objective(values)
     phasors, basebands = (np.repeat(np.stack(a), counts, axis=0) for a in zip(*starts))
     baseband_power = num_rf_chains * first.total_power / num_antennas
     # the radar block sums of one iteration's phasors feed the next unitary step
@@ -567,16 +543,16 @@ def alternating_minimization_stack(problems, f_rad,
         try:
             unitaries = _unitary_step(g_rad, basebands)
         except np.linalg.LinAlgError as exc:
-            raise _unitary_failure(exc, g_rad, basebands, eta) from exc
+            raise SolverError(str(exc)) from exc
         _check_orthonormal_rows(unitaries)
         mix = _mixing(unitaries, eta)
         phasors = _analog_step(targets, basebands, mix, phasors, rows)
         sums = _block_sums(phasors, targets, rows)
-        basebands, g_norms = _baseband_step(sums, mix, eta, num_antennas, first.total_power)
+        basebands, g_norms = _baseband_step(sums, mix, num_antennas, first.total_power)
         g_rad = sums[..., num_streams:]
         previous = values
         values = _chain_objective(offsets, g_norms, baseband_power)
-        _check_finite_objective(values, eta)
+        _check_finite_objective(values)
         for member, value in zip(members.tolist(), values.tolist()):
             traces[member].append(value)
         converged = np.abs(values - previous) < thresholds
@@ -628,7 +604,7 @@ def _exit_reports(f_com: np.ndarray, f_rad: np.ndarray, num_rf_chains: int, eta:
     (`_objective_offsets`): both values are that offset minus a term of at
     most its size, so rounding scales with it, and not with the objective.
     It is raised only after the whole loop has run, so an error of any
-    member inside the loop comes first; both name their eta only (see
+    member inside the loop comes first; neither names its member (see
     `SolverError`).
     """
     phases = canonical_phases(-np.angle(phasors))
@@ -639,7 +615,7 @@ def _exit_reports(f_com: np.ndarray, f_rad: np.ndarray, num_rf_chains: int, eta:
     if disagree.any():
         i = int(np.argmax(disagree))
         raise SolverError(f"block-sum objective {traces[i][-1]!r} disagrees with the exact "
-                          f"{float(exact[i])!r} at eta={float(eta[i])}")
+                          f"{float(exact[i])!r}")
     num_antennas = phasors.shape[1]
     reports = []
     for i, (trace, value) in enumerate(zip(traces, exact.tolist())):

@@ -297,10 +297,12 @@ def _chunk_designs(config: ExperimentConfig, trials, f_rad: np.ndarray,
     """The designs of each of `trials` at `etas`, in order, from one draw per
     trial and one stacked solve for the chunk.
 
-    When a chunk of several trials fails, its trials are designed again one at
-    a time, and the first that fails alone raises its own error.  A trial alone
-    gives bit for bit its designs in the chunk, so the error names the lowest
-    failing trial and its own message, however the trials were chunked.
+    When a chunk fails, its (trial, eta) designs are made again one at a time,
+    in trial order and then in the order of `etas`, and the first that fails
+    alone raises its own error.  A design alone is bit for bit its design in
+    the chunk, so the error names the lowest failing trial, its first failing
+    eta and its own message, however the trials were chunked; `convergence
+    --seed <base_seed + trial> --eta <eta>` replays it.
     """
     try:
         drawn = [draw_trial(config, trial) for trial in trials]
@@ -313,10 +315,11 @@ def _chunk_designs(config: ExperimentConfig, trials, f_rad: np.ndarray,
             designs.append([design_trial(config, eta, trial, draw) for eta in etas])
         return designs
     except (altmin.SolverError, np.linalg.LinAlgError) as exc:
-        if len(trials) == 1:
-            raise altmin.SolverError(f"trial {trials[0]} failed: {exc}") from exc
+        if len(trials) == 1 and len(etas) == 1:
+            raise altmin.SolverError(f"trial {trials[0]} at eta={etas[0]} failed: {exc}") from exc
         for trial in trials:
-            _chunk_designs(config, [trial], f_rad, etas)
+            for eta in etas:
+                _chunk_designs(config, [trial], f_rad, (eta,))
         raise altmin.SolverError(f"trials {trials[0]}-{trials[-1]} failed: {exc}") from exc
 
 

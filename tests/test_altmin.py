@@ -680,14 +680,34 @@ def test_stack_solves_targets_that_do_not_divide_the_antennas():
         assert_same_report(report, alternating_minimization(f_com, f_rad, 4, config))
 
 
+def assert_fails_alone(problems, f_rad, message, failing):
+    """Solve each config of `problems` alone: a config whose (problem, config)
+    index is in `failing` raises exactly `message`, every other one returns a
+    design.  This is how a caller finds the member of a failed stacked solve,
+    whose error names none."""
+    for p, (f_com, configs) in enumerate(problems):
+        for c, config in enumerate(configs):
+            if (p, c) in failing:
+                with pytest.raises(SolverError) as caught:
+                    alternating_minimization(f_com, f_rad, 4, config)
+                assert str(caught.value) == message
+            else:
+                alternating_minimization(f_com, f_rad, 4, config)
+
+
 def test_stack_names_the_eta_of_a_non_finite_member():
     f_com, f_rad = toy_problem(72)
+    # finite, but its squared distances overflow: the start objective of
+    # problem 1 is not finite at either eta
     huge = np.full_like(f_com, 1e308)
     problems = [(target, [AltMinConfig(eta=eta, total_power=3.0, rng_seed=seed)
                           for eta in (0.0, 0.8)])
                 for seed, target in enumerate((f_com, huge, f_com))]
-    with np.errstate(all="ignore"), pytest.raises(SolverError, match=r"eta=0\.8$"):
-        alternating_minimization_stack(problems, f_rad, 4)
+    with np.errstate(all="ignore"):
+        with pytest.raises(SolverError) as caught:
+            alternating_minimization_stack(problems, f_rad, 4)
+        assert str(caught.value) == "non-finite objective"
+        assert_fails_alone(problems, f_rad, "non-finite objective", {(1, 0), (1, 1)})
 
 
 def test_stack_names_the_eta_of_a_member_that_fails_in_the_loop(monkeypatch):
@@ -697,21 +717,14 @@ def test_stack_names_the_eta_of_a_member_that_fails_in_the_loop(monkeypatch):
     problems = [(target, [AltMinConfig(eta=eta, total_power=3.0, rng_seed=seed)
                           for eta in (0.3, 0.6)])
                 for seed, target in enumerate((f_com, other))]
-    original = altmin_module._chain_objective
-    calls = []
-
-    def spoiled(*args):
-        result = original(*args)
-        calls.append(1)
-        if len(calls) == 2:
-            result = result.copy()
-            result[3] = math.nan  # the second member of problem 1
-        return result
-
-    monkeypatch.setattr(altmin_module, "_chain_objective", spoiled)
-    with pytest.raises(SolverError, match=r"non-finite objective at eta=0\.6$"):
+    # after iteration 2, the second member of problem 1
+    calls = counting_calls(monkeypatch, altmin_module, "_chain_objective", spoil_at=2,
+                           member=3)
+    with pytest.raises(SolverError) as caught:
         alternating_minimization_stack(problems, f_rad, 4)
+    assert str(caught.value) == "non-finite objective"
     assert len(calls) == 2
+    assert_fails_alone(problems, f_rad, "non-finite objective", {(1, 1)})
 
 
 def test_stack_names_the_eta_of_a_member_whose_svd_fails(monkeypatch):
@@ -734,10 +747,45 @@ def test_stack_names_the_eta_of_a_member_whose_svd_fails(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
-    with pytest.raises(SolverError, match=r"^SVD did not converge at eta=0\.6$"):
+    with pytest.raises(SolverError) as caught:
         alternating_minimization_stack(problems, f_rad, 4)
-    # the stacked call, then one call per member to find the failing one
-    assert calls == [4, 4, 1, 1, 1, 1]
+    assert str(caught.value) == "SVD did not converge"
+    assert calls == [4, 4]  # the stacked calls only
+    assert_fails_alone(problems, f_rad, "SVD did not converge", {(1, 1)})
+    assert set(calls[2:]) == {1}  # then the solves of each config alone
+
+
+def test_stack_reports_a_non_finite_baseband_target(monkeypatch):
+    import dfrcbeam.altmin as altmin_module
+    f_com, f_rad = toy_problem(74)
+    other, _ = toy_problem(77)
+    problems = [(target, [AltMinConfig(eta=eta, total_power=3.0, rng_seed=seed)
+                          for eta in (0.3, 0.6)])
+                for seed, target in enumerate((f_com, other))]
+    original = altmin_module._mixing
+    calls, spoiled = [], []
+
+    def overflowing(unitaries, eta):
+        # the mixing matrix of the first member of problem 1 at the second
+        # iteration turns infinite wherever it recurs, as it does when that
+        # member is solved alone, and makes the baseband target non-finite
+        mix = original(unitaries, eta)
+        calls.append(len(mix))
+        if len(calls) == 2:
+            spoiled.append(mix[2].copy())
+        for m in mix:
+            if spoiled and np.array_equal(m, spoiled[0]):
+                m[:] = math.inf
+        return mix
+
+    monkeypatch.setattr(altmin_module, "_mixing", overflowing)
+    message = "non-finite entries in the baseband target"
+    with np.errstate(all="ignore"):
+        with pytest.raises(SolverError) as caught:
+            alternating_minimization_stack(problems, f_rad, 4)
+        assert str(caught.value) == message
+        assert calls == [4, 4]
+        assert_fails_alone(problems, f_rad, message, {(1, 0)})
 
 
 def test_stack_rejects_problems_that_differ_beyond_eta_and_seed():
@@ -764,25 +812,32 @@ def test_batch_rejects_configs_that_differ_beyond_eta():
 
 def test_batch_names_the_eta_of_a_non_finite_member():
     f_com, f_rad = toy_problem(72)
-    # finite, but eta * f_com overflows the baseband target unless eta = 0
+    # finite, but its squared distances overflow: the start objective is not
+    # finite at either eta
     huge = np.full_like(f_com, 1e308)
     configs = [AltMinConfig(eta=eta, total_power=3.0, rng_seed=1) for eta in (0.0, 0.8)]
-    with np.errstate(all="ignore"), pytest.raises(SolverError, match=r"eta=0\.8"):
-        alternating_minimization_stack([(huge, configs)], f_rad, 4)[0]
+    with np.errstate(all="ignore"):
+        with pytest.raises(SolverError) as caught:
+            alternating_minimization_stack([(huge, configs)], f_rad, 4)
+        assert str(caught.value) == "non-finite objective"
+        assert_fails_alone([(huge, configs)], f_rad, "non-finite objective", {(0, 0), (0, 1)})
 
 
-def counting_calls(monkeypatch, module, name, spoil_at=None):
-    """Count the calls of `module.name`; the `spoil_at`-th returns a copy of
-    its per-member result with member 1 set to NaN."""
+def counting_calls(monkeypatch, module, name, spoil_at=None, member=1):
+    """Count the calls of `module.name`.  With `spoil_at`, it returns one value
+    per member: the `spoil_at`-th call sets the value of `member` to NaN, and so
+    does every later call that returns that value again, as a solve of that
+    member alone does."""
     original = getattr(module, name)
-    calls = []
+    calls, spoiled = [], []
 
     def counted(*args):
         result = original(*args)
         calls.append(1)
         if len(calls) == spoil_at:
-            result = result.copy()
-            result[1] = math.nan
+            spoiled.append(result[member])
+        if spoiled:
+            result = np.where(result == spoiled[0], math.nan, result)
         return result
 
     monkeypatch.setattr(module, name, counted)
@@ -796,10 +851,12 @@ def test_batch_rejects_a_non_finite_objective_at_the_start(monkeypatch):
     f_com[0, 0] = 1e308
     config = AltMinConfig(eta=0.0, total_power=3.0, max_iterations=30)
     calls = counting_calls(monkeypatch, metrics_module, "fitting_errors")
-    with np.errstate(all="ignore"), pytest.raises(SolverError,
-                                                  match=r"non-finite objective at eta=0\.0"):
-        alternating_minimization_stack([(f_com, [config])], f_rad, 4)[0]
-    assert len(calls) == 1  # before the first iteration
+    with np.errstate(all="ignore"):
+        with pytest.raises(SolverError) as caught:
+            alternating_minimization_stack([(f_com, [config])], f_rad, 4)
+        assert str(caught.value) == "non-finite objective"
+        assert len(calls) == 1  # before the first iteration
+        assert_fails_alone([(f_com, [config])], f_rad, "non-finite objective", {(0, 0)})
 
 
 def test_batch_rejects_a_non_finite_objective_at_a_later_iteration(monkeypatch):
@@ -810,10 +867,12 @@ def test_batch_rejects_a_non_finite_objective_at_a_later_iteration(monkeypatch):
     exact = counting_calls(monkeypatch, metrics_module, "fitting_errors")
     in_loop = counting_calls(monkeypatch, altmin_module, "_chain_objective",
                              spoil_at=2)  # after iteration 2
-    with pytest.raises(SolverError, match=r"non-finite objective at eta=0\.6$"):
-        alternating_minimization_stack([(f_com, configs)], f_rad, 4)[0]
+    with pytest.raises(SolverError) as caught:
+        alternating_minimization_stack([(f_com, configs)], f_rad, 4)
+    assert str(caught.value) == "non-finite objective"
     assert len(in_loop) == 2
     assert len(exact) == 1  # the start only: no member has left
+    assert_fails_alone([(f_com, configs)], f_rad, "non-finite objective", {(0, 1)})
 
 
 def test_chain_objective_matches_the_exact_one_at_exit(monkeypatch):

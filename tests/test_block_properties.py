@@ -123,8 +123,8 @@ def check_analog_step(p: Stack):
 
 def baseband_step(p: Stack, members=slice(None)):
     num_antennas = p.phases.shape[1]
-    return altmin._baseband_step(p.block_sums()[members], p.mixing(members), p.eta[members],
-                                 num_antennas, p.total_power)
+    return altmin._baseband_step(p.block_sums()[members], p.mixing(members), num_antennas,
+                                 p.total_power)
 
 
 def check_baseband_step(p: Stack):

@@ -320,19 +320,19 @@ def test_the_exit_check_bounds_the_disagreement_by_the_objective_offset(monkeypa
 
     monkeypatch.setattr(metrics, "fitting_errors", disagreeing)
     if fails:
-        with pytest.raises(altmin.SolverError, match=r"^trial 1 failed: block-sum objective "
-                                                     r".* disagrees with the exact .* at eta=0\.5$"):
+        with pytest.raises(altmin.SolverError, match=r"^trial 1 at eta=0\.5 failed: block-sum "
+                                                     r"objective \S+ disagrees with the exact \S+$"):
             run_rate_sweep(config)
     else:
         run_rate_sweep(config)
 
 
-@pytest.mark.parametrize("command", [
-    ["rate-sweep"],
-    ["beampattern", "--eta", "0.5", "--average-trials"],
-    ["convergence", "--eta", "0.5"],
+@pytest.mark.parametrize("command, eta", [
+    (["rate-sweep"], 0.3),  # the first of the toy eta_values
+    (["beampattern", "--eta", "0.5", "--average-trials"], 0.5),
+    (["convergence", "--eta", "0.5"], 0.5),
 ], ids=["rate-sweep", "beampattern", "convergence"])
-def test_every_command_names_a_failed_trial(tmp_path, monkeypatch, capsys, command):
+def test_every_command_names_a_failed_trial(tmp_path, monkeypatch, capsys, command, eta):
     import dfrcbeam.cli as cli_module
     original = cli_module.draw_trial
 
@@ -345,7 +345,8 @@ def test_every_command_names_a_failed_trial(tmp_path, monkeypatch, capsys, comma
     out = tmp_path / "x.csv"
     config_path = write_toy_config(tmp_path, num_trials=2)
     assert main([*command, "--config", str(config_path), "--out", str(out)]) == 3
-    assert "trial 0 failed" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"solver error: trial 0 at eta={eta} failed: "
+                                       f"synthetic failure\n")
     assert not out.exists()
 
 
@@ -374,14 +375,15 @@ def test_rate_sweep_names_trial_and_eta_of_a_non_finite_member(monkeypatch):
     def overflowing(cfg, trial):
         realization, f_com, w_com = original(cfg, trial)
         if trial == 1:
-            # finite, but eta * f_com overflows the baseband target unless eta = 0
+            # finite, but its squared distances overflow at every eta
             f_com = np.full_like(f_com, 1e308)
         return realization, f_com, w_com
 
     monkeypatch.setattr(cli_module, "draw_trial", overflowing)
-    with np.errstate(all="ignore"), pytest.raises(altmin.SolverError,
-                                                  match=r"trial 1 .*eta=0\.8"):
-        run_rate_sweep(toy_config(num_trials=2, eta_values=[0.0, 0.8]))
+    with np.errstate(all="ignore"), pytest.raises(altmin.SolverError) as caught:
+        run_rate_sweep(toy_config(num_trials=2, eta_values=[0.8, 0.0]))
+    # the first failing eta in the order of eta_values, not the smallest
+    assert str(caught.value) == "trial 1 at eta=0.8 failed: non-finite objective"
 
 
 def test_a_failing_member_names_its_trial_within_the_chunk(monkeypatch):
@@ -397,8 +399,8 @@ def test_a_failing_member_names_its_trial_within_the_chunk(monkeypatch):
     monkeypatch.setattr(cli_module, "draw_trial", overflowing)
     with np.errstate(all="ignore"), pytest.raises(altmin.SolverError) as caught:
         run_rate_sweep(toy_config(num_trials=3, eta_values=[0.0, 0.8]))
-    # the start objective of trial 1 overflows at both etas
-    assert str(caught.value) == "trial 1 failed: non-finite objective at eta=0.0, eta=0.8"
+    # the start objective of trial 1 overflows at both etas; the first is named
+    assert str(caught.value) == "trial 1 at eta=0.0 failed: non-finite objective"
 
 
 def test_a_stack_failure_names_the_first_trial_that_fails_alone(monkeypatch):
@@ -408,11 +410,11 @@ def test_a_stack_failure_names_the_first_trial_that_fails_alone(monkeypatch):
     monkeypatch.setattr(altmin, "alternating_minimization_stack", failing)
     with pytest.raises(altmin.SolverError) as caught:
         run_rate_sweep(toy_config(num_trials=3, eta_values=[0.0, 0.8]))
-    assert str(caught.value) == "trial 0 failed: synthetic failure"
+    assert str(caught.value) == "trial 0 at eta=0.0 failed: synthetic failure"
     config = toy_config()
     with pytest.raises(altmin.SolverError) as caught:
         _chunk_designs(config, [4], radar_target(config), (0.5,))
-    assert str(caught.value) == "trial 4 failed: synthetic failure"
+    assert str(caught.value) == "trial 4 at eta=0.5 failed: synthetic failure"
 
 
 def test_a_stack_failure_of_no_single_trial_names_the_chunk(monkeypatch):
@@ -447,13 +449,16 @@ def test_a_lapack_failure_names_its_trial_within_the_chunk(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", failing)
     with pytest.raises(altmin.SolverError) as caught:
         run_rate_sweep(toy_config(num_trials=3, eta_values=[0.0, 0.8]))
-    assert str(caught.value) == "trial 1 failed: SVD did not converge at eta=0.8"
+    assert str(caught.value) == "trial 1 at eta=0.8 failed: SVD did not converge"
     assert calls[:2] == [6, 6]
 
 
-def test_a_sweep_names_its_lowest_failing_trial_however_it_is_chunked(monkeypatch):
-    # trial 2 fails only the exit check, after the loop, and trial 3 at its
-    # start, so a stack that holds both raises trial 3's error first
+def test_a_sweep_names_its_lowest_failing_trial_however_it_is_chunked(tmp_path, monkeypatch,
+                                                                        capsys):
+    # trial 2 fails only the exit check, after the loop, and only at its second
+    # eta; trial 3 fails at its start at every eta, so a stack that holds both
+    # raises trial 3's error first.  Both key on the channel seed, not on the
+    # trial index, so a replay of trial 2 at its seed fails as in the sweep
     import dfrcbeam.cli as cli_module
     config = toy_config(n_rx=3, n_streams=3, target_angles_deg=[-30.0, 0.0, 30.0],
                         eta_values=[0.2, 0.5, 0.8], num_trials=10)
@@ -462,14 +467,15 @@ def test_a_sweep_names_its_lowest_failing_trial_however_it_is_chunked(monkeypatc
 
     def overflowing(cfg, trial):
         realization, f_com, w_com = original_draw(cfg, trial)
-        if trial == 3:
+        if cfg.base_seed + trial == config.base_seed + 3:
             f_com = np.full_like(f_com, 1e308)
         return realization, f_com, w_com
 
     def disagreeing(products, f_com, f_rad_u, eta):
         comm, radar, exact = original_errors(products, f_com, f_rad_u, eta)
+        # only the exit pass scores a stack of products
         if np.ndim(products) == 3 and np.array_equal(f_com, spoiled):
-            exact = exact + 1.0  # only the exit pass scores a stack of products
+            exact = exact + np.equal(eta, 0.5)
         return comm, radar, exact
 
     monkeypatch.setattr(cli_module, "draw_trial", overflowing)
@@ -486,8 +492,22 @@ def test_a_sweep_names_its_lowest_failing_trial_however_it_is_chunked(monkeypatc
                 run_rate_sweep(config, workers)
             messages.add(str(caught.value))
     [message] = messages
-    assert message.startswith("trial 2 failed: block-sum objective ")
+    prefix = "trial 2 at eta=0.5 failed: "
+    assert message.startswith(prefix + "block-sum objective ")
     assert RecordingPool.sizes == [4, 4]
+
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+    out = tmp_path / "x.csv"
+    with np.errstate(all="ignore"):
+        assert main(["rate-sweep", "--config", str(config_path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"solver error: {message}\n"
+    # the replay the message gives: the design's channel seed and its eta
+    assert main(["convergence", "--config", str(config_path), "--seed",
+                 str(config.base_seed + 2), "--eta", "0.5", "--out", str(out)]) == 3
+    error = message[len(prefix):]
+    assert capsys.readouterr().err == f"solver error: trial 0 at eta=0.5 failed: {error}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("failing", [0, 1])
@@ -504,7 +524,7 @@ def test_a_failing_design_names_its_trial_within_the_chunk(monkeypatch, failing)
     config = toy_config(eta_values=[0.0, 0.8])
     with pytest.raises(altmin.SolverError) as caught:
         _chunk_designs(config, [0, 1, 2], radar_target(config), config.eta_values)
-    assert str(caught.value) == f"trial {failing} failed: synthetic failure"
+    assert str(caught.value) == f"trial {failing} at eta=0.8 failed: synthetic failure"
 
 
 def test_convergence_at_the_trial_seed_replays_the_chunk_design():
