@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "altmin": ("AltMinConfig", "AltMinReport", "AuxiliaryUnitary", "SolverError",
-               "alternating_minimization", "alternating_minimization_stack"),
+               "StackDesigns", "alternating_minimization", "alternating_minimization_stack"),
     "channel": ("ChannelParams", "ChannelRealization", "generate_channel",
                 "optimal_digital_beamformers"),
     "hybrid": ("AnalogBeamformer", "BasebandBeamformer", "HybridBeamformer",

@@ -19,10 +19,11 @@ Every block solve is a per-antenna or per-chain array operation, so each is
 implemented once on a stack of members; `alternating_minimization_stack` is
 the one loop.  It cycles the members of several problems that share f_rad,
 each at several `eta`; the single design and the public 2-D solves are its
-special cases, and a `DesignStack` keeps its reports for lookup one design at
-a time.  The loop state is the unit phasor e^{-j phi} of each antenna.  A
-member that leaves parks its final state, and after the loop each problem's
-designs are phased, materialized and scored in one pass.
+special cases.  The loop state is the unit phasor e^{-j phi} of each antenna.
+A member that leaves parks its final state, and after the loop each problem's
+designs are phased, materialized and scored in one pass into one
+`StackDesigns` of arrays; `alternating_minimization` reads the `AltMinReport`
+of one design from its row.
 
 The loop never forms the N x S hybrid product or a mixed target.  The analog
 stage has unit-modulus entries on disjoint blocks, so F_RF^H F_RF is a
@@ -60,7 +61,7 @@ from .hybrid import (
     materialize_product,
     normalize_power,
 )
-from .ula import TWO_PI
+from .ula import TWO_PI, is_integer_in
 
 
 class SolverError(RuntimeError):
@@ -96,13 +97,13 @@ class AltMinConfig:
             raise ValueError("total_power must be positive")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not 0 <= int(self.rng_seed) < 2**64:
-            raise ValueError("rng_seed must fit in an unsigned 64-bit integer")
+        if not is_integer_in(self.max_iterations, 1):
+            raise ValueError("max_iterations must be an integer >= 1")
+        if not is_integer_in(self.rng_seed, 0, 2**64):
+            raise ValueError("rng_seed must be an integer in [0, 2**64)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuxiliaryUnitary:
     """Semi-unitary auxiliary variable with orthonormal rows."""
 
@@ -125,25 +126,58 @@ def _check_orthonormal_rows(matrices: np.ndarray) -> None:
         raise ValueError("rows are not orthonormal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AltMinReport:
     """Outcome of one alternating run.
 
-    `objective_trace[0]` is the objective at the random start; entry k is the
-    value after iteration k.  `converged` is False when the run stopped only
-    because `max_iterations` was reached.  `product` is the materialized
-    N x S beamformer, and `comm_error` and `radar_error` are its squared
-    distances to f_com and to f_rad U, all as the exit check computed them.
+    The design is held as arrays: the canonical analog `phases` (N,), the
+    `baseband` (R, S) and the auxiliary `unitary` (T, S), whose rows are
+    orthonormal.  `objective_trace[0]` is the objective at the random start;
+    entry k is the value after iteration k.  `converged` is False when the
+    run stopped only because `max_iterations` was reached.  `product` is the
+    materialized N x S beamformer, and `comm_error` and `radar_error` are its
+    squared distances to f_com and to f_rad U, all as the exit check computed
+    them.
     """
 
-    hybrid: HybridBeamformer
-    unitary: AuxiliaryUnitary
+    phases: np.ndarray = field(repr=False)
+    baseband: np.ndarray = field(repr=False)
+    unitary: np.ndarray = field(repr=False)
     objective_trace: list[float] = field(repr=False)
     iterations_used: int
     converged: bool
     product: np.ndarray = field(repr=False)
     comm_error: float
     radar_error: float
+
+    @property
+    def hybrid(self) -> HybridBeamformer:
+        """The design's two stages, checked as `HybridBeamformer` checks them."""
+        analog = AnalogBeamformer(len(self.phases), len(self.baseband), self.phases)
+        return HybridBeamformer(analog, BasebandBeamformer(self.baseband))
+
+
+@dataclass(frozen=True, eq=False)
+class StackDesigns:
+    """The designs of one problem of a stacked solve, one row per config.
+
+    `configs` are the problem's configs in its order; row e of each array is
+    the design of `configs[e]`: canonical `phases` (E, N), `basebands`
+    (E, R, S), `unitaries` (E, T, S), materialized `products` (E, N, S), and
+    `comm_error`, `radar_error` and `converged` (E,), as in `AltMinReport`.
+    `traces[e]` is that design's objective trace, as long as the iterations
+    it ran, with the exact exit value last.
+    """
+
+    configs: tuple[AltMinConfig, ...]
+    phases: np.ndarray = field(repr=False)
+    basebands: np.ndarray = field(repr=False)
+    unitaries: np.ndarray = field(repr=False)
+    products: np.ndarray = field(repr=False)
+    comm_error: np.ndarray = field(repr=False)
+    radar_error: np.ndarray = field(repr=False)
+    converged: np.ndarray = field(repr=False)
+    traces: list[list[float]] = field(repr=False)
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -419,7 +453,7 @@ def random_start(num_antennas: int, num_rf_chains: int, num_streams: int,
 
 
 def alternating_minimization(f_com, f_rad, num_rf_chains: int, config: AltMinConfig,
-                             stack: DesignStack | None = None) -> AltMinReport:
+                             stack: StackDesigns | None = None) -> AltMinReport:
     """Design the hybrid beamformer by cycling exact block solves.
 
     Starts from a seeded random feasible point, then repeats
@@ -429,41 +463,24 @@ def alternating_minimization(f_com, f_rad, num_rf_chains: int, config: AltMinCon
     recorded objective trace never increases.  This is the one-member case of
     `alternating_minimization_stack`.
 
-    `stack` passes a `DesignStack` that holds this design among others; the
-    design is then looked up in its stacked solve, which is bit for bit the
-    same as solving it alone.
+    `stack` passes the `StackDesigns` of a stacked solve that holds this
+    problem at `config`; the report is then read from its row of `config`,
+    which is bit for bit the design of solving it alone, and the other
+    arguments are not read.
     """
     if stack is None:
-        return alternating_minimization_stack([(f_com, [config])], f_rad, num_rf_chains)[0][0]
-    if f_rad is not stack.f_rad or num_rf_chains != stack.num_rf_chains:
-        raise ValueError("the stack holds a different problem")
-    return stack.report(f_com, config)
-
-
-class DesignStack:
-    """Designs of several problems that share f_rad, solved as one stack when built.
-
-    `problems` holds one (f_com, configs) pair per problem, as for
-    `alternating_minimization_stack`; `report` looks up one design.
-    """
-
-    def __init__(self, f_rad, num_rf_chains: int, problems) -> None:
-        self.f_rad = f_rad
-        self.num_rf_chains = num_rf_chains
-        self.problems = [(f_com, list(configs)) for f_com, configs in problems]
-        self.reports = alternating_minimization_stack(self.problems, f_rad, num_rf_chains)
-
-    def report(self, f_com, config: AltMinConfig) -> AltMinReport:
-        """The design of `config` for the problem whose target is `f_com` (the
-        same object the stack was built with)."""
-        index = next((i for i, (own, _) in enumerate(self.problems) if own is f_com), None)
-        if index is None:
-            raise ValueError("the stack holds a different problem")
-        return self.reports[index][self.problems[index][1].index(config)]
+        [stack] = alternating_minimization_stack([(f_com, [config])], f_rad, num_rf_chains)
+    if config not in stack.configs:
+        raise ValueError(f"the stack holds no design of {config}")
+    row = stack.configs.index(config)
+    trace = stack.traces[row]
+    return AltMinReport(stack.phases[row], stack.basebands[row], stack.unitaries[row], trace,
+                        len(trace) - 1, bool(stack.converged[row]), stack.products[row],
+                        float(stack.comm_error[row]), float(stack.radar_error[row]))
 
 
 def alternating_minimization_stack(problems, f_rad,
-                                   num_rf_chains: int) -> list[list[AltMinReport]]:
+                                   num_rf_chains: int) -> list[StackDesigns]:
     """`alternating_minimization` for several problems, each at several configs.
 
     `problems` holds (f_com, configs) pairs.  The problems share f_rad, the
@@ -475,8 +492,8 @@ def alternating_minimization_stack(problems, f_rad,
     where its own stopping rule fires, so its report equals, bit for bit, the
     one a stack holding it alone returns.  A leaving member only parks its
     final state; after the loop, each problem's designs are materialized and
-    scored in one pass (`_exit_reports`), in problem order: each last trace
-    entry is recomputed from the materialized design, which the report keeps
+    scored in one pass (`_exit_designs`), in problem order: each last trace
+    entry is recomputed from the materialized design, which the result keeps
     with its fitting errors, and `SolverError` is raised if it differs from
     the block-sum value by more than 1e-13 times the member's objective
     offset.  So a member that fails inside the loop (a non-finite objective
@@ -484,7 +501,7 @@ def alternating_minimization_stack(problems, f_rad,
     would fail that exit check.  Errors name no member (a `LinAlgError` of the
     unitary step is raised as a `SolverError`): each config alone gives bit for
     bit its stacked design, so solving the configs alone finds the one that fails.
-    Returns one list of reports per problem, each in the order of its configs.
+    Returns one `StackDesigns` per problem, its rows in the order of its configs.
     """
     problems = [(np.asarray(f_com, dtype=complex), list(configs)) for f_com, configs in problems]
     if not problems or not all(configs for _, configs in problems):
@@ -572,28 +589,16 @@ def alternating_minimization_stack(problems, f_rad,
                               basebands, g_rad)
         )
         rows = _problem_rows(targets, np.bincount(problem_of, minlength=len(problems)).tolist())
-    return [_exit_reports(f_com, f_rad, num_rf_chains, config_eta[own], config_offsets[own],
+    return [_exit_designs(configs, f_com, f_rad, config_eta[own], config_offsets[own],
                           parked_phasors[own], parked_basebands[own], parked_unitaries[own],
                           parked_converged[own], traces[own])
-            for (f_com, _), (_, own) in zip(problems, _problem_rows(targets, counts))]
+            for (f_com, configs), (_, own) in zip(problems, _problem_rows(targets, counts))]
 
 
-def _prechecked(cls, **fields):
-    """The frozen dataclass `cls` holding `fields` as given, without the checks
-    of its `__post_init__`: for the exit reports' phases, which the exit pass
-    has just canonicalized from finite phasors, and unitaries, whose rows the
-    loop checked in the iteration that made them."""
-    instance = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(instance, name, value)
-    return instance
-
-
-def _exit_reports(f_com: np.ndarray, f_rad: np.ndarray, num_rf_chains: int, eta: np.ndarray,
+def _exit_designs(configs: list, f_com: np.ndarray, f_rad: np.ndarray, eta: np.ndarray,
                   offsets: np.ndarray, phasors: np.ndarray, basebands: np.ndarray,
-                  unitaries: np.ndarray, converged: np.ndarray,
-                  traces: list) -> list[AltMinReport]:
-    """The reports of one problem, once the loop has ended, from its members'
+                  unitaries: np.ndarray, converged: np.ndarray, traces: list) -> StackDesigns:
+    """The designs of one problem, once the loop has ended, from its members'
     final phasors (E, N), basebands (E, R, S), unitaries (E, T, S) and
     traces: the designs are phased, materialized and scored in one pass.
 
@@ -616,16 +621,7 @@ def _exit_reports(f_com: np.ndarray, f_rad: np.ndarray, num_rf_chains: int, eta:
         i = int(np.argmax(disagree))
         raise SolverError(f"block-sum objective {traces[i][-1]!r} disagrees with the exact "
                           f"{float(exact[i])!r}")
-    num_antennas = phasors.shape[1]
-    reports = []
-    for i, (trace, value) in enumerate(zip(traces, exact.tolist())):
+    for trace, value in zip(traces, exact.tolist()):
         trace[-1] = value
-        analog = _prechecked(AnalogBeamformer, num_antennas=num_antennas,
-                             num_rf_chains=num_rf_chains, phases=phases[i])
-        reports.append(AltMinReport(
-            hybrid=HybridBeamformer(analog, BasebandBeamformer(basebands[i])),
-            unitary=_prechecked(AuxiliaryUnitary, matrix=unitaries[i]), objective_trace=trace,
-            iterations_used=len(trace) - 1, converged=bool(converged[i]),
-            product=products[i], comm_error=float(comm[i]), radar_error=float(radar[i]),
-        ))
-    return reports
+    return StackDesigns(tuple(configs), phases, basebands, unitaries, products, comm, radar,
+                        converged, traces)

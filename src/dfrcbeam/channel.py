@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ula import UlaConfig, steering_matrix
+from .ula import UlaConfig, is_integer_in, steering_matrix
 
 
 @dataclass(frozen=True)
@@ -24,13 +24,13 @@ class ChannelParams:
     rng_seed: int
 
     def __post_init__(self) -> None:
-        if self.num_tx < 1 or self.num_rx < 1 or self.num_paths < 1:
-            raise ValueError("num_tx, num_rx and num_paths must all be >= 1")
-        if not 0 <= int(self.rng_seed) < 2**64:
-            raise ValueError("rng_seed must fit in an unsigned 64-bit integer")
+        if not all(is_integer_in(n, 1) for n in (self.num_tx, self.num_rx, self.num_paths)):
+            raise ValueError("num_tx, num_rx and num_paths must all be integers >= 1")
+        if not is_integer_in(self.rng_seed, 0, 2**64):
+            raise ValueError("rng_seed must be an integer in [0, 2**64)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One channel draw: per-path gains and angles plus the assembled matrix."""
 

@@ -104,7 +104,7 @@ class ExperimentConfig:
             "num_trials": self.num_trials, "max_iterations": self.max_iterations,
         }
         for name, value in counts.items():
-            if not isinstance(value, int) or value < 1:
+            if not ula.is_integer_in(value, 1):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.num_trials > ALTMIN_SEED_OFFSET:
             raise ConfigError(f"num_trials must be at most 2**32, so that channel and "
@@ -218,7 +218,7 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialDesign:
     """Everything produced for one (weighting factor, trial) pair."""
 
@@ -229,16 +229,16 @@ class TrialDesign:
     report: altmin.AltMinReport
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialDraw:
     """What the designs of one trial share: its channel, both targets and the
-    solved stack that holds its designs."""
+    stacked solve's designs of the trial."""
 
     channel: channel.ChannelRealization
     f_com: np.ndarray
     w_com: np.ndarray
     f_rad: np.ndarray
-    stack: altmin.DesignStack
+    stack: altmin.StackDesigns
 
 
 def radar_target(config: ExperimentConfig) -> np.ndarray:
@@ -306,11 +306,11 @@ def _chunk_designs(config: ExperimentConfig, trials, f_rad: np.ndarray,
     """
     try:
         drawn = [draw_trial(config, trial) for trial in trials]
-        stack = altmin.DesignStack(f_rad, config.n_rf, [
+        stacks = altmin.alternating_minimization_stack([
             (f_com, [_altmin_config(config, eta, trial) for eta in etas])
-            for trial, (_, f_com, _) in zip(trials, drawn)])
+            for trial, (_, f_com, _) in zip(trials, drawn)], f_rad, config.n_rf)
         designs = []
-        for trial, (realization, f_com, w_com) in zip(trials, drawn):
+        for trial, (realization, f_com, w_com), stack in zip(trials, drawn, stacks):
             draw = TrialDraw(realization, f_com, w_com, f_rad, stack)
             designs.append([design_trial(config, eta, trial, draw) for eta in etas])
         return designs

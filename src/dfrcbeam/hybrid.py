@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ula import TWO_PI
+from .ula import TWO_PI, is_integer_in
 
 
 def canonical_phases(phases: np.ndarray) -> np.ndarray:
@@ -24,7 +24,7 @@ def canonical_phases(phases: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalogBeamformer:
     """Phase-shifter network mapping `num_rf_chains` chains onto `num_antennas` antennas.
 
@@ -37,8 +37,8 @@ class AnalogBeamformer:
     phases: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.num_antennas < 1 or self.num_rf_chains < 1:
-            raise ValueError("antenna and RF chain counts must be >= 1")
+        if not (is_integer_in(self.num_antennas, 1) and is_integer_in(self.num_rf_chains, 1)):
+            raise ValueError("antenna and RF chain counts must be integers >= 1")
         if self.num_antennas % self.num_rf_chains != 0:
             raise ValueError(
                 f"num_antennas={self.num_antennas} is not divisible by "
@@ -52,7 +52,7 @@ class AnalogBeamformer:
         object.__setattr__(self, "phases", phases)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasebandBeamformer:
     """Dense digital precoder over (num_rf_chains x num_streams)."""
 
@@ -73,7 +73,7 @@ class BasebandBeamformer:
         return self.matrix.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HybridBeamformer:
     """Analog and baseband stages whose product is the transmit beamformer."""
 

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+
+def is_integer_in(value, low: int, high: float = math.inf) -> bool:
+    """Whether `value` is an integer, and not a bool, in [low, high): the check
+    of every count (low 1) and seed (in [0, 2**64)) of the package."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and low <= value < high
 
 
 @dataclass(frozen=True)
@@ -22,8 +29,8 @@ class UlaConfig:
     spacing_over_wavelength: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.num_antennas < 1:
-            raise ValueError(f"num_antennas must be >= 1, got {self.num_antennas}")
+        if not is_integer_in(self.num_antennas, 1):
+            raise ValueError(f"num_antennas must be an integer >= 1, got {self.num_antennas!r}")
         if not self.spacing_over_wavelength > 0:
             raise ValueError("spacing_over_wavelength must be positive")
 
@@ -46,10 +53,10 @@ class TargetScene:
         half_pi = math.pi / 2
         if any(not -half_pi <= a <= half_pi for a in self.angles):
             raise ValueError("target angles must lie in [-pi/2, pi/2]")
-        if self.num_antennas < 1 or self.num_antennas % len(self.angles) != 0:
+        if not is_integer_in(self.num_antennas, 1) or self.num_antennas % len(self.angles) != 0:
             raise ValueError(
-                f"num_antennas={self.num_antennas} is not divisible by the "
-                f"number of targets ({len(self.angles)})"
+                f"num_antennas={self.num_antennas!r} is not a positive integer multiple of "
+                f"the number of targets ({len(self.angles)})"
             )
 
     @property

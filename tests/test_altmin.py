@@ -8,7 +8,6 @@ import pytest
 from dfrcbeam.altmin import (
     AltMinConfig,
     AuxiliaryUnitary,
-    DesignStack,
     SolverError,
     alternating_minimization,
     alternating_minimization_stack,
@@ -68,6 +67,16 @@ def test_altmin_config_validation():
         AltMinConfig(eta=0.5, total_power=math.inf)
     with pytest.raises(ValueError, match="finite"):
         AltMinConfig(eta=0.5, total_power=1.0, tolerance=math.inf)
+
+
+@pytest.mark.parametrize("field, value", [
+    *(("max_iterations", value) for value in (0, -1, 2.5, 3.0, True, "3", None)),
+    *(("rng_seed", value) for value in (-1, 2**64, 1.5, True, "0", None)),
+])
+def test_altmin_config_iterations_and_seed_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        AltMinConfig(eta=0.5, total_power=1.0, **{field: value})
+    AltMinConfig(eta=0.5, total_power=1.0, max_iterations=np.int64(3), rng_seed=np.uint64(7))
 
 
 def test_auxiliary_unitary_validation():
@@ -477,8 +486,8 @@ def test_alternating_minimization_materializes_only_at_start_and_exit(monkeypatc
     designs.clear()
     configs = [AltMinConfig(eta=eta, total_power=3.0, max_iterations=50, rng_seed=4)
                for eta in (0.0, 0.3, 0.6, 0.9, 1.0)]
-    reports = alternating_minimization_stack([(f_com, configs)], f_rad, 4)[0]
-    assert len({r.iterations_used for r in reports}) > 1
+    [stack] = alternating_minimization_stack([(f_com, configs)], f_rad, 4)
+    assert len({len(trace) for trace in stack.traces}) > 1
     # the start, then every design once, in one pass after the last has left
     assert designs == [1, len(configs)]
 
@@ -523,9 +532,9 @@ def test_alternating_minimization_monotone_and_reported():
     assert report.iterations_used == len(trace) - 1
     assert report.converged
     # final baseband sits on its power sphere
-    baseband_power = np.sum(np.abs(report.hybrid.baseband.matrix) ** 2)
+    baseband_power = np.sum(np.abs(report.baseband) ** 2)
     assert abs(baseband_power - 4 * 3.0 / 12) <= 1e-10
-    unitary = report.unitary.matrix
+    unitary = report.unitary
     assert np.linalg.norm(unitary @ unitary.conj().T - np.eye(3)) <= 1e-9
 
 
@@ -611,9 +620,9 @@ def test_paper_scale_run_converges():
 
 
 def assert_same_report(actual, expected):
-    assert np.array_equal(actual.hybrid.analog.phases, expected.hybrid.analog.phases)
-    assert np.array_equal(actual.hybrid.baseband.matrix, expected.hybrid.baseband.matrix)
-    assert np.array_equal(actual.unitary.matrix, expected.unitary.matrix)
+    assert np.array_equal(actual.phases, expected.phases)
+    assert np.array_equal(actual.baseband, expected.baseband)
+    assert np.array_equal(actual.unitary, expected.unitary)
     assert actual.objective_trace == expected.objective_trace
     assert actual.iterations_used == expected.iterations_used
     assert actual.converged == expected.converged
@@ -623,7 +632,8 @@ def test_batch_members_report_as_their_one_member_runs():
     f_com, f_rad = toy_problem(70)
     configs = [AltMinConfig(eta=eta, total_power=3.0, tolerance=1e-6, max_iterations=20,
                             rng_seed=8) for eta in (0.0, 0.3, 0.6, 0.9, 1.0)]
-    reports = alternating_minimization_stack([(f_com, configs)], f_rad, 4)[0]
+    [designs] = alternating_minimization_stack([(f_com, configs)], f_rad, 4)
+    reports = [alternating_minimization(f_com, f_rad, 4, c, designs) for c in configs]
     # members leave at 2, 18 and 20 iterations; two run out of iterations and
     # the last converges on its final allowed one
     assert [(r.iterations_used, r.converged) for r in reports] == [
@@ -639,7 +649,8 @@ def test_batch_does_not_size_its_trace_by_max_iterations():
         configs = [AltMinConfig(eta=eta, total_power=3.0, tolerance=1e-3,
                                 max_iterations=max_iterations, rng_seed=8)
                    for eta in (0.0, 0.6, 1.0)]
-        return alternating_minimization_stack([(f_com, configs)], f_rad, 4)[0]
+        [designs] = alternating_minimization_stack([(f_com, configs)], f_rad, 4)
+        return [alternating_minimization(f_com, f_rad, 4, c, designs) for c in configs]
 
     bounded = run(100)
     assert all(r.converged and r.iterations_used < 100 for r in bounded)
@@ -655,11 +666,14 @@ def test_stack_members_report_as_their_one_member_runs():
                                       max_iterations=30, rng_seed=8) for eta in etas]),
                 (other, [AltMinConfig(eta=eta, total_power=3.0, tolerance=1e-6,
                                       max_iterations=30, rng_seed=9) for eta in etas[:2]])]
-    reports = alternating_minimization_stack(problems, f_rad, 4)
-    assert [len(r) for r in reports] == [3, 2]
-    for (target, configs), problem_reports in zip(problems, reports):
-        for config, report in zip(configs, problem_reports):
-            assert_same_report(report, alternating_minimization(target, f_rad, 4, config))
+    stacks = alternating_minimization_stack(problems, f_rad, 4)
+    assert [len(designs.traces) for designs in stacks] == [3, 2]
+    for (target, configs), designs in zip(problems, stacks):
+        assert designs.configs == tuple(configs)
+        assert designs.products.shape == (len(configs), 12, 3)
+        for config in configs:
+            assert_same_report(alternating_minimization(target, f_rad, 4, config, designs),
+                               alternating_minimization(target, f_rad, 4, config))
 
 
 def test_stack_solves_targets_that_do_not_divide_the_antennas():
@@ -671,8 +685,9 @@ def test_stack_solves_targets_that_do_not_divide_the_antennas():
     f_rad *= math.sqrt(3.0 / np.sum(np.abs(f_rad) ** 2))
     configs = [AltMinConfig(eta=eta, total_power=3.0, tolerance=1e-6, max_iterations=200,
                             rng_seed=5) for eta in (0.2, 0.7)]
-    reports = alternating_minimization_stack([(f_com, configs)], f_rad, 4)[0]
-    for config, report in zip(configs, reports):
+    [designs] = alternating_minimization_stack([(f_com, configs)], f_rad, 4)
+    for config in configs:
+        report = alternating_minimization(f_com, f_rad, 4, config, designs)
         trace = np.asarray(report.objective_trace)
         assert report.converged
         assert np.all(np.diff(trace) <= 1e-9 * (1.0 + trace[0]))
@@ -890,7 +905,7 @@ def test_chain_objective_matches_the_exact_one_at_exit(monkeypatch):
             alternating_minimization_stack([(f_com, configs)], f_rad, 4)[0]
 
 
-def test_design_stack_solves_once_for_all_its_designs(monkeypatch):
+def test_stack_designs_give_each_report_without_solving_again(monkeypatch):
     import dfrcbeam.altmin as altmin_module
     calls = []
     original = altmin_module.alternating_minimization_stack
@@ -903,10 +918,10 @@ def test_design_stack_solves_once_for_all_its_designs(monkeypatch):
     configs = [AltMinConfig(eta=eta, total_power=3.0, rng_seed=3) for eta in (0.2, 0.6, 1.0)]
     alone = [alternating_minimization(f_com, f_rad, 4, config) for config in configs]
     monkeypatch.setattr(altmin_module, "alternating_minimization_stack", counted)
-    stack = DesignStack(f_rad, 4, [(f_com, configs)])
-    assert len(calls) == 1  # solved when built
-    for config, expected in zip(reversed(configs), reversed(alone)):
-        assert_same_report(alternating_minimization(f_com, f_rad, 4, config, stack), expected)
+    [designs] = altmin_module.alternating_minimization_stack([(f_com, configs)], f_rad, 4)
     assert len(calls) == 1
-    with pytest.raises(ValueError, match="different problem"):
-        alternating_minimization(f_com.copy(), f_rad, 4, configs[0], stack)
+    for config, expected in zip(reversed(configs), reversed(alone)):
+        assert_same_report(alternating_minimization(f_com, f_rad, 4, config, designs), expected)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="holds no design"):
+        alternating_minimization(f_com, f_rad, 4, replace(configs[0], eta=0.3), designs)

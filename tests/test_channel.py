@@ -31,6 +31,19 @@ def test_channel_params_validation():
         ChannelParams(num_tx=2, num_rx=2, num_paths=3, rng_seed=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    *((field, value) for field in ("num_tx", "num_rx", "num_paths")
+      for value in (0, -1, 12.5, 2.0, True, "2", None)),
+    *(("rng_seed", value) for value in (-1, 2**64, 1.5, True, "0", None)),
+])
+def test_channel_params_sizes_and_seed_must_be_integers(field, value):
+    fields = dict(num_tx=4, num_rx=2, num_paths=3, rng_seed=0)
+    with pytest.raises(ValueError, match=field):
+        ChannelParams(**{**fields, field: value})
+    numpy_fields = {name: np.uint64(v) for name, v in fields.items()}
+    assert generate_channel(ChannelParams(**numpy_fields)).matrix.shape == (2, 4)
+
+
 def test_single_path_channel_is_rank_one():
     realization = generate_channel(ChannelParams(8, 4, 1, rng_seed=5))
     singular = np.linalg.svd(realization.matrix, compute_uv=False)

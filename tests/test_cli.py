@@ -81,6 +81,22 @@ def test_validate_reports_field_names():
         toy_config(target_angles_deg=[95.0]).validate()
 
 
+COUNTS = ("n_tx", "n_rx", "n_streams", "n_rf", "n_paths", "num_trials", "max_iterations")
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_validate_rejects_a_bool_count(name):
+    with pytest.raises(ConfigError, match=f"^{name} must be a positive integer, got True$"):
+        replace(toy_config(), **{name: True}).validate()
+
+
+def test_validate_takes_numpy_integer_counts():
+    config = toy_config(num_trials=2)
+    numpy_config = replace(config, **{name: np.int64(getattr(config, name)) for name in COUNTS})
+    numpy_config.validate()
+    assert run_rate_sweep(numpy_config)[1] == run_rate_sweep(config)[1]
+
+
 def test_config_round_trip():
     config = toy_config()
     assert config_from_dict(config.to_dict()) == config
@@ -231,6 +247,40 @@ def test_rate_sweep_draws_each_trial_once_for_all_etas(monkeypatch):
                      "radar_beamformer": 1}
 
 
+def two_equal_records(name):
+    """Two separately built instances, equal in every value, of the record
+    `name`: each holds arrays, directly or through another record."""
+    import dfrcbeam.cli as cli_module
+    config = toy_config()
+    f_rad = radar_target(config)
+
+    def build():
+        realization, f_com, w_com = draw_trial(config, 0)
+        [stack] = altmin.alternating_minimization_stack(
+            [(f_com, [cli_module._altmin_config(config, 0.3, 0)])], f_rad, config.n_rf)
+        draw = cli_module.TrialDraw(realization, f_com, w_com, f_rad, stack)
+        design = design_trial(config, 0.3, 0, draw)
+        report = design.report
+        return {"TrialDesign": design, "TrialDraw": draw, "StackDesigns": stack,
+                "ChannelRealization": realization, "AltMinReport": report,
+                "HybridBeamformer": report.hybrid, "AnalogBeamformer": report.hybrid.analog,
+                "BasebandBeamformer": report.hybrid.baseband,
+                "AuxiliaryUnitary": altmin.AuxiliaryUnitary(report.unitary)}[name]
+
+    return build(), build()
+
+
+@pytest.mark.parametrize("name", [
+    "AltMinReport", "AnalogBeamformer", "AuxiliaryUnitary", "BasebandBeamformer",
+    "ChannelRealization", "HybridBeamformer", "StackDesigns", "TrialDesign", "TrialDraw"])
+def test_records_that_hold_arrays_compare_by_identity(name):
+    first, second = two_equal_records(name)
+    assert type(first).__name__ == name
+    assert first != second and not first == second
+    assert first == first and first in [first]
+    assert {first: 1, second: 2}[first] == 1
+
+
 def test_design_trial_on_a_given_draw_matches_its_own_draw():
     config = toy_config()
     [[shared]] = _chunk_designs(config, [2], radar_target(config), (0.3,))
@@ -240,9 +290,9 @@ def test_design_trial_on_a_given_draw_matches_its_own_draw():
 
 
 def assert_same_report(actual, expected):
-    assert np.array_equal(actual.hybrid.analog.phases, expected.hybrid.analog.phases)
-    assert np.array_equal(actual.hybrid.baseband.matrix, expected.hybrid.baseband.matrix)
-    assert np.array_equal(actual.unitary.matrix, expected.unitary.matrix)
+    assert np.array_equal(actual.phases, expected.phases)
+    assert np.array_equal(actual.baseband, expected.baseband)
+    assert np.array_equal(actual.unitary, expected.unitary)
     assert actual.objective_trace == expected.objective_trace
     assert actual.iterations_used == expected.iterations_used
     assert actual.converged == expected.converged
@@ -297,7 +347,7 @@ def test_rate_sweep_scores_each_design_once_in_the_exit_check(monkeypatch):
             report = design.report
             product = report.hybrid.materialize()
             comm, radar, _ = metrics.fitting_errors(product, design.f_com,
-                                                    design.f_rad @ report.unitary.matrix, eta)
+                                                    design.f_rad @ report.unitary, eta)
             assert np.array_equal(report.product, product)
             assert report.comm_error == comm and report.radar_error == radar
 

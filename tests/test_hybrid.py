@@ -27,6 +27,15 @@ def test_analog_validation():
         AnalogBeamformer(8, 4, np.full(8, np.nan))
 
 
+@pytest.mark.parametrize("field", ["num_antennas", "num_rf_chains"])
+@pytest.mark.parametrize("value", [0, -4, 8.5, 4.0, True, "4", None])
+def test_analog_counts_must_be_positive_integers(field, value):
+    counts = dict(num_antennas=8, num_rf_chains=4)
+    with pytest.raises(ValueError, match="counts must be integers"):
+        AnalogBeamformer(**{**counts, field: value}, phases=np.zeros(8))
+    assert AnalogBeamformer(np.int64(8), np.int32(4), np.zeros(8)).num_rf_chains == 4
+
+
 def test_phase_canonicalization():
     phases = np.array([0.0, TWO_PI, -0.25, 7.0, -1e-18])
     analog = AnalogBeamformer(5, 5, phases)

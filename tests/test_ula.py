@@ -31,6 +31,23 @@ def test_ula_config_rejects_bad_fields():
     assert UlaConfig(num_antennas=4).spacing_over_wavelength == 0.5
 
 
+BAD_COUNTS = [0, -1, 4.5, 4.0, True, "4", None]
+
+
+@pytest.mark.parametrize("value", BAD_COUNTS)
+def test_ula_config_num_antennas_must_be_a_positive_integer(value):
+    with pytest.raises(ValueError, match="num_antennas"):
+        UlaConfig(value)
+    assert UlaConfig(np.int64(4)).num_antennas == 4
+
+
+@pytest.mark.parametrize("value", BAD_COUNTS)
+def test_target_scene_num_antennas_must_be_a_positive_integer(value):
+    with pytest.raises(ValueError, match="num_antennas"):
+        TargetScene((0.0,), value)
+    assert TargetScene((0.0,), np.int64(4)).num_antennas == 4
+
+
 def test_target_scene_validation():
     scene = TargetScene(angles=(-0.5, 0.0, 0.5), num_antennas=12)
     assert scene.num_targets == 3
