@@ -518,7 +518,7 @@ def alternating_minimization_stack(problems, f_rad,
         raise ValueError("f_com and f_rad must be 2-D with the same number of rows")
     num_antennas, num_streams = shape
     num_targets = f_rad.shape[1]
-    if num_rf_chains < 1 or num_antennas % num_rf_chains != 0:
+    if not is_integer_in(num_rf_chains, 1) or num_antennas % num_rf_chains != 0:
         raise ValueError(f"{num_antennas} antennas not divisible by "
                          f"{num_rf_chains} RF chains")
     if num_streams < num_targets:

@@ -86,13 +86,13 @@ def optimal_digital_beamformers(h: np.ndarray, num_streams: int, total_power: fl
     if h.ndim != 2:
         raise ValueError("channel matrix must be 2-D")
     n_rx, n_tx = h.shape
-    if not 1 <= num_streams <= min(n_tx, n_rx):
+    if not is_integer_in(num_streams, 1, min(n_tx, n_rx) + 1):
         raise ValueError(
             f"num_streams must be in [1, min(n_tx, n_rx)] = [1, {min(n_tx, n_rx)}], "
             f"got {num_streams}"
         )
-    if not total_power > 0:
-        raise ValueError("total_power must be positive")
+    if not 0 < total_power < math.inf:
+        raise ValueError("total_power must be positive and finite")
     u, _, vh = np.linalg.svd(h, full_matrices=False)
     v = vh.conj().T[:, :num_streams].copy()
     w = u[:, :num_streams].copy()

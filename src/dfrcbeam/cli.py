@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -61,7 +62,14 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Full description of one experiment, mirroring the JSON config schema.
 
-    `total_power` defaults to the receive antenna count when omitted.
+    A config is checked when it is made, and `ConfigError` names the first
+    field at fault.  Each field takes the kind of its default: a count is a
+    positive integer and `base_seed` an integer in [0, 2**32), numpy's
+    included but not a bool; the others are finite real numbers, or lists or
+    tuples of them.  They are stored as plain `int`, `float` and tuples of
+    `float`, so `to_dict()` is JSON as it stands.  `total_power` of None means
+    the receive antenna count.  Then `validate()` checks the ranges and the
+    rules across fields.
     `tolerance` is the relative stopping tolerance handed to the solver; the
     harness default is looser than the solver's own so runs at the default
     dimensions stop within tens of iterations.
@@ -83,29 +91,15 @@ class ExperimentConfig:
     beampattern_grid_deg: tuple[float, float, float] = (-90.0, 90.0, 0.5)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "target_angles_deg", tuple(float(a) for a in self.target_angles_deg))
-        object.__setattr__(self, "eta_values", tuple(float(e) for e in self.eta_values))
-        object.__setattr__(self, "snr_db_values", tuple(float(s) for s in self.snr_db_values))
-        object.__setattr__(self, "beampattern_grid_deg", tuple(float(g) for g in self.beampattern_grid_deg))
-        if self.total_power is None:
-            object.__setattr__(self, "total_power", float(self.n_rx))
-        else:
-            object.__setattr__(self, "total_power", float(self.total_power))
-
-    def validate(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            values = value if isinstance(value, tuple) else (value,)
-            if not all(math.isfinite(v) for v in values if isinstance(v, float)):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        counts = {
-            "n_tx": self.n_tx, "n_rx": self.n_rx, "n_streams": self.n_streams,
-            "n_rf": self.n_rf, "n_paths": self.n_paths,
-            "num_trials": self.num_trials, "max_iterations": self.max_iterations,
-        }
-        for name, value in counts.items():
-            if not ula.is_integer_in(value, 1):
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+            if f.name == "total_power" and value is None:
+                value = self.n_rx  # a field before it, so already checked
+            object.__setattr__(self, f.name, _checked_field(f.name, value, f.default))
+        self.validate()
+
+    def validate(self) -> None:
+        """Check the rules across fields and the ranges of the numbers."""
         if self.num_trials > ALTMIN_SEED_OFFSET:
             raise ConfigError(f"num_trials must be at most 2**32, so that channel and "
                               f"solver seeds stay disjoint, got {self.num_trials}")
@@ -143,8 +137,6 @@ class ExperimentConfig:
             except OverflowError:
                 raise ConfigError(f"snr_db_values entry {snr_db!r} is too large: its "
                                   f"linear SNR overflows a float") from None
-        if not isinstance(self.base_seed, int) or not 0 <= self.base_seed < 2**32:
-            raise ConfigError("base_seed must fit in an unsigned 32-bit integer")
         if not self.tolerance > 0:
             raise ConfigError("tolerance must be positive")
         if len(self.beampattern_grid_deg) != 3:
@@ -162,45 +154,46 @@ class ExperimentConfig:
         return doc
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _to_float(name: str, value) -> float:
+def _checked_field(name: str, value, default):
+    """`value` of field `name`, checked by the kind of its `default` and
+    converted to a plain int, float or tuple of floats."""
+    if isinstance(default, int):
+        if name == "base_seed":
+            if not ula.is_integer_in(value, 0, 2**32):
+                raise ConfigError(f"base_seed must be an integer in [0, 2**32), got {value!r}")
+        elif not ula.is_integer_in(value, 1):
+            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        return int(value)
+    is_list = isinstance(default, tuple)
+    entries = value if is_list else (value,)
+    if (is_list and not isinstance(value, (list, tuple))) or not all(
+            isinstance(x, Real) and not isinstance(x, bool) for x in entries):
+        kind = "a list of numbers" if is_list else "a number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
     try:
-        return float(value)
-    except OverflowError as exc:  # a JSON integer beyond the float range
+        floats = tuple(float(x) for x in entries)
+    except OverflowError as exc:  # an integer beyond the float range
         raise ConfigError(f"{name} is out of range") from exc
+    if not all(math.isfinite(x) for x in floats):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return floats if is_list else floats[0]
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """The config of a parsed JSON document.  Each field takes the kind of its
-    default: a list of numbers, an integer or a number; only `total_power`
-    may be null."""
+    """The config of a parsed JSON document.  Its keys must be config fields,
+    and a count or seed may be written as an integral float (120.0, 1e15);
+    `ExperimentConfig` checks the rest, so `null` is taken only for
+    `total_power`."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    defaults = ExperimentConfig()
-    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(defaults)})
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    unknown = sorted(set(doc) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-    kwargs = {}
+    kwargs = dict(doc)
     for name, value in doc.items():
-        default = getattr(defaults, name)
-        if value is None and name == "total_power":
-            kwargs[name] = None  # the default: n_rx
-        elif isinstance(default, tuple):
-            if not isinstance(value, list) or not all(_is_number(x) for x in value):
-                raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
-            kwargs[name] = tuple(_to_float(name, x) for x in value)
-        elif isinstance(default, int):
-            if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if isinstance(defaults[name], int) and isinstance(value, float) and value.is_integer():
             kwargs[name] = int(value)
-        elif not _is_number(value):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
-        else:
-            kwargs[name] = _to_float(name, value)
     return ExperimentConfig(**kwargs)
 
 
@@ -579,7 +572,6 @@ def main(argv=None) -> int:
             if not 0 <= args.seed < 2**32:
                 raise ConfigError("--seed must fit in an unsigned 32-bit integer")
             config = dataclasses.replace(config, base_seed=args.seed)
-        config.validate()
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         eta = getattr(args, "eta", None)

@@ -9,6 +9,7 @@ complex matrix over RF chains and streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,10 +119,11 @@ def normalize_power(
 
     See `scale_to_power`, which does the rescaling.
     """
-    if num_antennas < 1 or num_rf_chains < 1 or num_antennas % num_rf_chains != 0:
+    if not (is_integer_in(num_antennas, 1) and is_integer_in(num_rf_chains, 1)
+            and num_antennas % num_rf_chains == 0):
         raise ValueError("num_antennas must be a positive multiple of num_rf_chains")
-    if not total_power > 0:
-        raise ValueError("total_power must be positive")
+    if not 0 < total_power < math.inf:
+        raise ValueError("total_power must be positive and finite")
     return BasebandBeamformer(scale_to_power(bb.matrix, num_antennas, num_rf_chains, total_power))
 
 

@@ -31,8 +31,8 @@ class UlaConfig:
     def __post_init__(self) -> None:
         if not is_integer_in(self.num_antennas, 1):
             raise ValueError(f"num_antennas must be an integer >= 1, got {self.num_antennas!r}")
-        if not self.spacing_over_wavelength > 0:
-            raise ValueError("spacing_over_wavelength must be positive")
+        if not 0 < self.spacing_over_wavelength < math.inf:
+            raise ValueError("spacing_over_wavelength must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ def radar_beamformer(scene: TargetScene, total_power: float) -> np.ndarray:
     disjoint supports and the matrix is block diagonal.  It is rescaled so the
     squared Frobenius norm equals `total_power`.
     """
-    if not total_power >= 0:
-        raise ValueError("total_power must be nonnegative")
+    if not 0 <= total_power < math.inf:
+        raise ValueError("total_power must be nonnegative and finite")
     n_t = scene.num_antennas
     block = n_t // scene.num_targets
     cfg = UlaConfig(n_t)

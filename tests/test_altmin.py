@@ -605,6 +605,15 @@ def test_alternating_minimization_validates_structure():
         alternating_minimization(crandn(rng, (12, 2)), crandn(rng, (12, 3)), 4, config)
 
 
+@pytest.mark.parametrize("num_rf_chains", [True, 4.0, "4", np.float64(4.0)],
+                         ids=["bool", "float", "str", "numpy-float"])
+def test_alternating_minimization_rf_chains_must_be_a_positive_integer(num_rf_chains):
+    f_com, f_rad = toy_problem(66)
+    with pytest.raises(ValueError, match="not divisible"):
+        alternating_minimization(f_com, f_rad, num_rf_chains,
+                                 AltMinConfig(eta=0.5, total_power=3.0))
+
+
 def test_paper_scale_run_converges():
     rng = np.random.default_rng(67)
     h = crandn(rng, (6, 120))

@@ -145,3 +145,12 @@ def test_svd_beamformers_rejects_too_many_streams():
     h[0, 0] = 1.0
     with pytest.raises(ValueError):
         optimal_digital_beamformers(h, num_streams=3, total_power=1.0)
+
+
+@pytest.mark.parametrize("num_streams, total_power", [
+    (True, 1.0), (1.5, 1.0), (2.0, 1.0), ("2", 1.0), (2, math.inf),
+])
+def test_svd_beamformers_rejects_bad_counts_and_powers(num_streams, total_power):
+    h = np.random.default_rng(5).standard_normal((2, 8)) + 0j
+    with pytest.raises(ValueError):
+        optimal_digital_beamformers(h, num_streams, total_power)

@@ -124,7 +124,7 @@ def test_config_from_dict_rejects_bad_documents():
         for value in values:
             with pytest.raises(ConfigError, match=name):
                 config_from_dict({name: value})
-    assert config_from_dict({"total_power": None, "n_rx": 4}).total_power == 4.0
+    assert config_from_dict({"total_power": None, "n_rx": 4, "n_streams": 4}).total_power == 4.0
     assert config_from_dict({"tolerance": 1, "n_tx": 120.0}) == ExperimentConfig(
         tolerance=1.0, n_tx=120)
 

@@ -5,21 +5,26 @@ only finite CSV cells, 2 for a config fault with no CSV written, or 3 for a
 solver fault.  The fixed cases are inputs that once escaped it; the property
 test draws documents with extreme values in every field.  No case allocates
 to find out: a count too large to hold is refused before anything is formed,
-or the allocation is patched to fail.
+or the allocation is patched to fail.  Beneath the command line,
+`ExperimentConfig` refuses a field of the wrong kind when it is made, naming
+the field, and stores plain Python numbers.
 """
 
+import dataclasses
 import json
 import math
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfrcbeam import channel, ula
-from dfrcbeam.cli import ALTMIN_SEED_OFFSET, ConfigError, config_from_dict, main
+from dfrcbeam.cli import (ALTMIN_SEED_OFFSET, ConfigError, ExperimentConfig, config_from_dict,
+                          main)
 
 # the CI smoke-test dimensions
 TINY = {"n_tx": 12, "n_rf": 4, "n_streams": 2, "n_rx": 2, "n_paths": 3,
@@ -49,6 +54,39 @@ def assert_contract(code: int, out: Path) -> None:
         assert cells and all(math.isfinite(cell) for cell in cells)
     elif code == 2:
         assert not out.exists()
+
+
+FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+COUNTS = ("n_tx", "n_rx", "n_streams", "n_rf", "n_paths", "num_trials", "max_iterations")
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_a_field_of_the_wrong_kind_is_refused_when_the_config_is_made(name):
+    default = getattr(ExperimentConfig(), name)
+    is_list = isinstance(default, tuple)
+    bad = ["12", True, math.nan, 1.0 if is_list else [default]]
+    if name != "total_power":  # None there means n_rx
+        bad.append(None)
+    for value in bad + ([["12"], [True], [math.nan]] if is_list else []):
+        with pytest.raises(ConfigError, match=f"^{name} "):
+            ExperimentConfig(**{name: value})
+
+
+def test_base_seed_is_an_unsigned_32_bit_integer():
+    for seed in (True, -1, 2**32, 7.0):
+        with pytest.raises(ConfigError, match="^base_seed "):
+            ExperimentConfig(base_seed=seed)
+
+
+def test_numpy_integers_are_stored_as_int():
+    plain = ExperimentConfig(base_seed=2**32 - 1)
+    numpy = ExperimentConfig(**{name: np.int64(getattr(plain, name)) for name in COUNTS},
+                             base_seed=np.uint32(2**32 - 1))
+    assert numpy == plain
+    assert all(type(getattr(numpy, name)) is int for name in (*COUNTS, "base_seed"))
+    # the solver seed of the last trial, base_seed + trial + 2**32, stays exact
+    assert numpy.base_seed + numpy.num_trials - 1 + ALTMIN_SEED_OFFSET == 2**33 + 98
+    assert json.loads(json.dumps(numpy.to_dict())) == plain.to_dict()
 
 
 @pytest.mark.parametrize("step", [1e-16, 1e-20, 1e-300, 5e-324])

@@ -155,3 +155,13 @@ def test_normalize_power_rejects_degenerate_inputs():
         normalize_power(bb, 10, 4, 1.0)
     with pytest.raises(ValueError):
         normalize_power(bb, 8, 4, 0.0)
+
+
+@pytest.mark.parametrize("num_antennas, num_rf_chains, total_power", [
+    (4, 2, float("inf")), (True, True, 1.0), (4, True, 1.0), (4.0, 2, 1.0), (4, 2.0, 1.0),
+])
+def test_normalize_power_rejects_bad_counts_and_powers(num_antennas, num_rf_chains,
+                                                       total_power):
+    bb = BasebandBeamformer(np.ones((2, 2), dtype=complex))
+    with pytest.raises(ValueError):
+        normalize_power(bb, num_antennas, num_rf_chains, total_power)

@@ -31,6 +31,12 @@ def test_ula_config_rejects_bad_fields():
     assert UlaConfig(num_antennas=4).spacing_over_wavelength == 0.5
 
 
+@pytest.mark.parametrize("spacing", [math.inf, np.float64(math.inf)], ids=["float", "numpy"])
+def test_ula_config_spacing_must_be_finite(spacing):
+    with pytest.raises(ValueError, match="spacing_over_wavelength"):
+        UlaConfig(4, spacing)
+
+
 BAD_COUNTS = [0, -1, 4.5, 4.0, True, "4", None]
 
 
@@ -124,6 +130,12 @@ def test_radar_beamformer_zero_power_allowed():
     assert np.all(f_rad == 0)
     with pytest.raises(ValueError):
         radar_beamformer(TargetScene((0.2,), 4), -1.0)
+
+
+@pytest.mark.parametrize("power", [math.inf, np.float64(math.inf)], ids=["float", "numpy"])
+def test_radar_beamformer_power_must_be_finite(power):
+    with pytest.raises(ValueError, match="total_power"):
+        radar_beamformer(TargetScene((0.0,), 4), power)
 
 
 def test_radar_beamformer_block_structure():
