@@ -61,7 +61,7 @@ from .hybrid import (
     materialize_product,
     normalize_power,
 )
-from .ula import TWO_PI, is_integer_in
+from .ula import TWO_PI, is_integer_in, is_real_in
 
 
 class SolverError(RuntimeError):
@@ -77,9 +77,13 @@ class SolverError(RuntimeError):
 class AltMinConfig:
     """Knobs of the alternating solve.
 
-    `tolerance` is relative: iteration stops once the objective improves by
-    less than tolerance * (1 + initial objective).  `rng_seed` fixes the
-    random starting point.
+    `eta`, in [0, 1], weights the communication error against the radar
+    error, and `total_power`, in (0, inf), is the power of the designed
+    beamformer.  `tolerance`, in (0, inf), is relative: iteration stops once
+    the objective improves by less than tolerance * (1 + initial objective),
+    or after `max_iterations` (at least 1).  `rng_seed`, in [0, 2**64), fixes
+    the random starting point.  The reals must be finite real numbers and the
+    counts integers, neither a bool; anything else raises `ValueError`.
     """
 
     eta: float
@@ -89,14 +93,11 @@ class AltMinConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.eta, self.total_power, self.tolerance)):
-            raise ValueError("eta, total_power and tolerance must be finite")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not self.total_power > 0:
-            raise ValueError("total_power must be positive")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        for name, low, high, ends in (("eta", 0, 1, "[]"), ("total_power", 0, math.inf, "()"),
+                                      ("tolerance", 0, math.inf, "()")):
+            if not is_real_in(getattr(self, name), low, high, ends):
+                raise ValueError(f"{name} must be a finite real number in "
+                                 f"{ends[0]}{low}, {high}{ends[1]}")
         if not is_integer_in(self.max_iterations, 1):
             raise ValueError("max_iterations must be an integer >= 1")
         if not is_integer_in(self.rng_seed, 0, 2**64):

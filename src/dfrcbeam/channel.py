@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ula import UlaConfig, is_integer_in, steering_matrix
+from .ula import UlaConfig, is_integer_in, is_real_in, steering_matrix
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ def optimal_digital_beamformers(h: np.ndarray, num_streams: int, total_power: fl
             f"num_streams must be in [1, min(n_tx, n_rx)] = [1, {min(n_tx, n_rx)}], "
             f"got {num_streams}"
         )
-    if not 0 < total_power < math.inf:
-        raise ValueError("total_power must be positive and finite")
+    if not is_real_in(total_power, 0, math.inf, "()"):
+        raise ValueError("total_power must be a finite real number in (0, inf)")
     u, _, vh = np.linalg.svd(h, full_matrices=False)
     v = vh.conj().T[:, :num_streams].copy()
     w = u[:, :num_streams].copy()

@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Rational, Real
 from pathlib import Path
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -105,7 +105,7 @@ class ExperimentConfig:
                               f"solver seeds stay disjoint, got {self.num_trials}")
         if len(self.target_angles_deg) == 0:
             raise ConfigError("target_angles_deg must not be empty")
-        if any(not -90.0 <= a <= 90.0 for a in self.target_angles_deg):
+        if not all(ula.is_real_in(a, -90, 90, "[]") for a in self.target_angles_deg):
             raise ConfigError("target_angles_deg entries must lie in [-90, 90]")
         if self.n_tx % self.n_rf != 0:
             raise ConfigError(f"n_tx ({self.n_tx}) must be divisible by n_rf ({self.n_rf})")
@@ -118,7 +118,7 @@ class ExperimentConfig:
             raise ConfigError("n_streams must not exceed min(n_tx, n_rx)")
         if self.n_streams < len(self.target_angles_deg):
             raise ConfigError("n_streams must be at least the number of targets")
-        if not self.total_power > 0:
+        if not ula.is_real_in(self.total_power, 0, math.inf, "()"):
             raise ConfigError("total_power must be positive")
         # the analog step forms 1/|c| for each antenna's correlation c, which
         # overflows below |c| = 1/DBL_MAX; correlations scale like
@@ -127,7 +127,7 @@ class ExperimentConfig:
         if self.total_power < min_power:
             raise ConfigError(f"total_power must be at least {min_power:.3g} at "
                               f"n_tx={self.n_tx}, got {self.total_power!r}")
-        if len(self.eta_values) == 0 or any(not 0.0 <= e <= 1.0 for e in self.eta_values):
+        if not self.eta_values or not all(ula.is_real_in(e, 0, 1, "[]") for e in self.eta_values):
             raise ConfigError("eta_values must be a nonempty list of values in [0, 1]")
         if len(self.snr_db_values) == 0:
             raise ConfigError("snr_db_values must not be empty")
@@ -137,7 +137,7 @@ class ExperimentConfig:
             except OverflowError:
                 raise ConfigError(f"snr_db_values entry {snr_db!r} is too large: its "
                                   f"linear SNR overflows a float") from None
-        if not self.tolerance > 0:
+        if not ula.is_real_in(self.tolerance, 0, math.inf, "()"):
             raise ConfigError("tolerance must be positive")
         if len(self.beampattern_grid_deg) != 3:
             raise ConfigError("beampattern_grid_deg must be [start, stop, step]")
@@ -170,13 +170,11 @@ def _checked_field(name: str, value, default):
             isinstance(x, Real) and not isinstance(x, bool) for x in entries):
         kind = "a list of numbers" if is_list else "a number"
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
-    try:
-        floats = tuple(float(x) for x in entries)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ConfigError(f"{name} is out of range") from exc
-    if not all(math.isfinite(x) for x in floats):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return floats if is_list else floats[0]
+    # a rational real (an int or a fraction) fails only by lying past the float range
+    if bad := [x for x in entries if not ula.is_real_in(x, -math.inf, math.inf, "()")]:
+        raise ConfigError(f"{name} is out of range" if any(isinstance(x, Rational) for x in bad)
+                          else f"{name} must be finite, got {value!r}")
+    return tuple(float(x) for x in entries) if is_list else float(value)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -575,7 +573,7 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         eta = getattr(args, "eta", None)
-        if eta is not None and not 0.0 <= eta <= 1.0:
+        if eta is not None and not ula.is_real_in(eta, 0, 1, "[]"):
             raise ConfigError("--eta must lie in [0, 1]")
 
         header = None

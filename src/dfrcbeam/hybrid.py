@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ula import TWO_PI, is_integer_in
+from .ula import TWO_PI, is_integer_in, is_real_in
 
 
 def canonical_phases(phases: np.ndarray) -> np.ndarray:
@@ -122,8 +122,8 @@ def normalize_power(
     if not (is_integer_in(num_antennas, 1) and is_integer_in(num_rf_chains, 1)
             and num_antennas % num_rf_chains == 0):
         raise ValueError("num_antennas must be a positive multiple of num_rf_chains")
-    if not 0 < total_power < math.inf:
-        raise ValueError("total_power must be positive and finite")
+    if not is_real_in(total_power, 0, math.inf, "()"):
+        raise ValueError("total_power must be a finite real number in (0, inf)")
     return BasebandBeamformer(scale_to_power(bb.matrix, num_antennas, num_rf_chains, total_power))
 
 

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .ula import is_real_in
+
 
 def achievable_rate(h, f, w, snr_db: float):
     """Spectral efficiency of equal-power Gaussian streams through `f` and combiner `w`.
@@ -13,7 +15,9 @@ def achievable_rate(h, f, w, snr_db: float):
     Computes log2 det(I + (snr / num_streams) (W^H W)^-1 W^H H F F^H H^H W)
     with snr = 10^(snr_db / 10).  The inverse is applied through a Cholesky
     whitening of W^H W, and the determinant argument is symmetrized before the
-    eigenvalue solve so roundoff cannot produce a negative log argument.
+    eigenvalue solve so roundoff cannot produce a negative log argument.  An
+    `snr_db` that is not a finite real number, or whose snr overflows a float,
+    raises `ValueError`.
 
     `f` may also be a stack of precoders (..., num_tx, num_streams) for the
     one channel and combiner; W^H W, its Cholesky factor and W^H H are then
@@ -31,7 +35,13 @@ def achievable_rate(h, f, w, snr_db: float):
         raise ValueError(f"precoder rows ({f.shape[-2]}) must match transmit antennas ({n_tx})")
     if w.shape != (n_rx, num_streams):
         raise ValueError(f"combiner must be {(n_rx, num_streams)}, got {w.shape}")
-    snr = 10.0 ** (snr_db / 10.0)
+    if not is_real_in(snr_db, -math.inf, math.inf, "()"):
+        raise ValueError(f"snr_db must be a finite real number, got {snr_db!r}")
+    try:  # as a Python float, since a numpy scalar overflows to inf without raising
+        snr = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db {snr_db!r} is too large: "
+                         f"its linear SNR overflows a float") from None
     gram = w.conj().T @ w
     gram = (gram + gram.conj().T) / 2
     # fails with LinAlgError when the combiner is rank deficient

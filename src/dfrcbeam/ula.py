@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -15,6 +15,21 @@ def is_integer_in(value, low: int, high: float = math.inf) -> bool:
     """Whether `value` is an integer, and not a bool, in [low, high): the check
     of every count (low 1) and seed (in [0, 2**64)) of the package."""
     return isinstance(value, Integral) and not isinstance(value, bool) and low <= value < high
+
+
+def is_real_in(value, low: float, high: float, ends: str) -> bool:
+    """Whether `value` is a real number, and not a bool, that converts to a
+    finite float in the interval from `low` to `high`: the check of every real
+    the package takes.  `ends` writes the interval's ends as interval notation
+    does, "[]", "[)", "(]" or "()", "[" and "]" marking a closed end, so
+    `is_real_in(p, 0, math.inf, "()")` asks for a positive finite `p`.  An
+    integer or fraction past the float range gives False, not `OverflowError`."""
+    try:  # a bool, a non-real or a real past the float range becomes NaN, which fails
+        x = float(value) if isinstance(value, Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        x = math.nan
+    return (math.isfinite(x) and (low <= x if ends[0] == "[" else low < x)
+            and (x <= high if ends[1] == "]" else x < high))
 
 
 @dataclass(frozen=True)
@@ -31,8 +46,8 @@ class UlaConfig:
     def __post_init__(self) -> None:
         if not is_integer_in(self.num_antennas, 1):
             raise ValueError(f"num_antennas must be an integer >= 1, got {self.num_antennas!r}")
-        if not 0 < self.spacing_over_wavelength < math.inf:
-            raise ValueError("spacing_over_wavelength must be positive and finite")
+        if not is_real_in(self.spacing_over_wavelength, 0, math.inf, "()"):
+            raise ValueError("spacing_over_wavelength must be a finite real number in (0, inf)")
 
 
 @dataclass(frozen=True)
@@ -47,12 +62,11 @@ class TargetScene:
     num_antennas: int
 
     def __post_init__(self) -> None:
+        if not all(is_real_in(a, -math.pi / 2, math.pi / 2, "[]") for a in self.angles):
+            raise ValueError("target angles must be finite real numbers in [-pi/2, pi/2]")
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
         if len(self.angles) == 0:
             raise ValueError("at least one target angle is required")
-        half_pi = math.pi / 2
-        if any(not -half_pi <= a <= half_pi for a in self.angles):
-            raise ValueError("target angles must lie in [-pi/2, pi/2]")
         if not is_integer_in(self.num_antennas, 1) or self.num_antennas % len(self.angles) != 0:
             raise ValueError(
                 f"num_antennas={self.num_antennas!r} is not a positive integer multiple of "
@@ -89,8 +103,8 @@ def radar_beamformer(scene: TargetScene, total_power: float) -> np.ndarray:
     disjoint supports and the matrix is block diagonal.  It is rescaled so the
     squared Frobenius norm equals `total_power`.
     """
-    if not 0 <= total_power < math.inf:
-        raise ValueError("total_power must be nonnegative and finite")
+    if not is_real_in(total_power, 0, math.inf, "[)"):
+        raise ValueError("total_power must be a finite real number in [0, inf)")
     n_t = scene.num_antennas
     block = n_t // scene.num_targets
     cfg = UlaConfig(n_t)

@@ -121,7 +121,7 @@ def test_unitary_subproblem_oracle(capsys):
         closed_obj = float(np.sum(np.abs(product - f_rad @ closed) ** 2))
         basis, _ = np.linalg.qr(crandn(rng, (10**4, n_s, n_tar)))
         samples = basis.conj().transpose(0, 2, 1)  # rows orthonormal
-        resid = product[None] - np.einsum("nt,kts->kns", f_rad, samples)
+        resid = product[None] - f_rad @ samples
         best = float((resid.real**2 + resid.imag**2).sum(axis=(1, 2)).min())
         worst = max(worst, closed_obj - best)
     ok = worst <= 1e-9
@@ -192,9 +192,9 @@ def test_sphere_least_squares_oracle(capsys):
 
         points = crandn(rng, (10**4, n_rf, n_s))
         points *= (math.sqrt(c) / np.linalg.norm(points, axis=(1, 2)))[:, None, None]
-        qp = np.einsum("ij,kjs->kis", q, points)
-        values = (np.einsum("kis,kis->k", points.conj(), qp).real
-                  - 2.0 * np.einsum("kis,is->k", points.conj(), g).real)
+        # Re<p, q p - 2 g> = p^H q p - 2 Re<p, g>, summed entrywise
+        d = q @ points - 2.0 * g
+        values = (points.real * d.real + points.imag * d.imag).sum(axis=(1, 2))
         best = float(values.min())
         mine = float(np.vdot(x, q @ x).real - 2.0 * np.vdot(x, g).real)
         if mine > best + 1e-9 * (1.0 + abs(best)):

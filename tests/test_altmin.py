@@ -79,6 +79,13 @@ def test_altmin_config_iterations_and_seed_must_be_integers(field, value):
     AltMinConfig(eta=0.5, total_power=1.0, max_iterations=np.int64(3), rng_seed=np.uint64(7))
 
 
+@pytest.mark.parametrize("field", ["eta", "total_power", "tolerance"])
+@pytest.mark.parametrize("value", [True, "0.5", 10**400], ids=["bool", "string", "10**400"])
+def test_altmin_config_reals_must_be_finite_reals(field, value):
+    with pytest.raises(ValueError, match=field):
+        AltMinConfig(**{"eta": 0.5, "total_power": 1.0, field: value})
+
+
 def test_auxiliary_unitary_validation():
     basis, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 2)))
     AuxiliaryUnitary(basis.conj().T)

@@ -149,6 +149,7 @@ def test_svd_beamformers_rejects_too_many_streams():
 
 @pytest.mark.parametrize("num_streams, total_power", [
     (True, 1.0), (1.5, 1.0), (2.0, 1.0), ("2", 1.0), (2, math.inf),
+    (2, True), (2, "1.5"), pytest.param(2, 10**400, id="2-10**400"),
 ])
 def test_svd_beamformers_rejects_bad_counts_and_powers(num_streams, total_power):
     h = np.random.default_rng(5).standard_normal((2, 8)) + 0j

@@ -159,6 +159,7 @@ def test_normalize_power_rejects_degenerate_inputs():
 
 @pytest.mark.parametrize("num_antennas, num_rf_chains, total_power", [
     (4, 2, float("inf")), (True, True, 1.0), (4, True, 1.0), (4.0, 2, 1.0), (4, 2.0, 1.0),
+    (4, 2, True), (4, 2, "1.5"), pytest.param(4, 2, 10**400, id="4-2-10**400"),
 ])
 def test_normalize_power_rejects_bad_counts_and_powers(num_antennas, num_rf_chains,
                                                        total_power):

@@ -99,6 +99,16 @@ def test_rate_rejects_rank_deficient_combiner():
         achievable_rate(h, f, w, 0.0)
 
 
+@pytest.mark.parametrize("snr_db", [
+    True, math.nan, math.inf, -math.inf, "0", 1e308, 3090.0,
+    pytest.param(np.float64(3090.0), id="numpy-3090.0"), pytest.param(10**400, id="10**400"),
+])
+def test_rate_rejects_an_snr_that_is_not_a_finite_real_or_overflows(snr_db):
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="snr_db"):
+        achievable_rate(eye, eye, eye, snr_db)
+
+
 def test_rate_validates_shapes():
     with pytest.raises(ValueError):
         achievable_rate(np.zeros((2, 4)), np.zeros((3, 2)), np.eye(2), 0.0)

@@ -31,7 +31,12 @@ def test_ula_config_rejects_bad_fields():
     assert UlaConfig(num_antennas=4).spacing_over_wavelength == 0.5
 
 
-@pytest.mark.parametrize("spacing", [math.inf, np.float64(math.inf)], ids=["float", "numpy"])
+# not finite reals: an infinity, a bool, a numeric string, an integer past the float range
+NOT_FINITE_REALS = [math.inf, np.float64(math.inf), True, "0.5", 10**400]
+NOT_FINITE_REAL_IDS = ["float", "numpy", "bool", "string", "10**400"]
+
+
+@pytest.mark.parametrize("spacing", NOT_FINITE_REALS, ids=NOT_FINITE_REAL_IDS)
 def test_ula_config_spacing_must_be_finite(spacing):
     with pytest.raises(ValueError, match="spacing_over_wavelength"):
         UlaConfig(4, spacing)
@@ -63,6 +68,14 @@ def test_target_scene_validation():
         TargetScene(angles=(2.0,), num_antennas=12)
     with pytest.raises(ValueError):
         TargetScene(angles=(0.0, 0.1), num_antennas=9)
+
+
+@pytest.mark.parametrize("angle", [True, "0.1", 10**400], ids=["bool", "string", "10**400"])
+def test_target_scene_angles_must_be_finite_reals(angle):
+    # float() would turn True and "0.1" into angles in range, so each angle is
+    # checked before it is converted
+    with pytest.raises(ValueError, match="target angles"):
+        TargetScene((0.0, angle), 4)
 
 
 def test_steering_vector_broadside_is_uniform():
@@ -132,7 +145,7 @@ def test_radar_beamformer_zero_power_allowed():
         radar_beamformer(TargetScene((0.2,), 4), -1.0)
 
 
-@pytest.mark.parametrize("power", [math.inf, np.float64(math.inf)], ids=["float", "numpy"])
+@pytest.mark.parametrize("power", NOT_FINITE_REALS, ids=NOT_FINITE_REAL_IDS)
 def test_radar_beamformer_power_must_be_finite(power):
     with pytest.raises(ValueError, match="total_power"):
         radar_beamformer(TargetScene((0.0,), 4), power)
