@@ -57,7 +57,9 @@ from .hybrid import (
     AnalogBeamformer,
     BasebandBeamformer,
     HybridBeamformer,
+    baseband_power,
     canonical_phases,
+    chain_block,
     materialize_product,
     normalize_power,
 )
@@ -298,25 +300,39 @@ def solve_analog(baseband, f_com, f_rad_u, eta: float,
     The minimizing phase is the argument of <t_i, b_i>.  When that inner
     product is zero every phase is optimal, so the previous phase (or zero)
     is kept to preserve determinism and descent.  The rotated radar target
-    f_rad_u plays the loop's f_rad with an identity auxiliary.
+    f_rad_u plays the loop's f_rad with an identity auxiliary.  The targets,
+    the layout of the baseband's rows and `eta` are checked as
+    `_one_member_setup` checks them.
     """
     baseband = _as_matrix(baseband)
-    f_com = np.asarray(f_com)
-    f_rad_u = np.asarray(f_rad_u)
-    if f_com.shape != f_rad_u.shape:
-        raise ValueError("f_com and the rotated radar target must have equal shapes")
-    num_antennas, num_streams = f_com.shape
     num_rf = baseband.shape[0]
-    if baseband.shape[1] != num_streams:
+    targets, mix = _one_member_setup(f_com, f_rad_u, eta, num_rf)
+    num_antennas = num_rf * targets.shape[1]
+    if baseband.shape[1] != mix.shape[-1]:
         raise ValueError("baseband and targets disagree on the stream count")
-    if num_antennas % num_rf != 0:
-        raise ValueError(f"{num_antennas} antennas not divisible by {num_rf} RF chains")
     fallback = (np.exp(-1j * previous.phases) if previous is not None
                 else np.ones(num_antennas, dtype=complex))
-    mix = _mixing(np.eye(num_streams, dtype=complex)[None], np.array([eta], dtype=float))
-    phasors = _analog_step(_chain_targets(f_com, f_rad_u, num_rf), baseband[None], mix,
-                           fallback[None])
+    phasors = _analog_step(targets, baseband[None], mix, fallback[None])
     return AnalogBeamformer(num_antennas, num_rf, canonical_phases(-np.angle(phasors[0])))
+
+
+def _one_member_setup(f_com, f_rad_u, eta, num_rf) -> tuple[np.ndarray, np.ndarray]:
+    """The chain targets of f_com and f_rad_u over `num_rf` chains and the
+    mixing matrix (1, 2 S, S) of `eta` with an identity auxiliary: what a
+    one-member solve hands the loop's step.
+
+    Raises `ValueError` unless the targets have equal shapes, their rows split
+    over the chains as `chain_block` requires, and `eta` is a finite real
+    number in [0, 1].
+    """
+    f_com, f_rad_u = np.asarray(f_com), np.asarray(f_rad_u)
+    if f_com.ndim != 2 or f_com.shape != f_rad_u.shape:
+        raise ValueError("f_com and the rotated radar target must have equal shapes")
+    chain_block(f_com.shape[0], num_rf)
+    if not is_real_in(eta, 0, 1, "[]"):
+        raise ValueError("eta must be a finite real number in [0, 1]")
+    mix = _mixing(np.eye(f_com.shape[1], dtype=complex)[None], np.array([eta], dtype=float))
+    return _chain_targets(f_com, f_rad_u, num_rf), mix
 
 
 def _mixing(unitaries: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -363,24 +379,20 @@ def solve_baseband(analog: AnalogBeamformer, f_com, f_rad_u, eta: float,
 
     Expanding the objective in F_BB gives a least-squares problem with Gram
     matrix F_RF^H F_RF and target G = F_RF^H M, where M mixes both targets,
-    constrained to the sphere ||F_BB||_F^2 = num_rf_chains * total_power /
-    num_antennas.  The analog blocks have disjoint supports and unit-modulus
-    entries, so the Gram matrix is (num_antennas / num_rf_chains) I and the
-    optimum is G scaled onto the sphere.  Row r of G sums e^{-j phi_i} m_i over
-    the antennas of chain r.  When G is zero every point of the sphere is
-    optimal, and the first entry is picked.  The rotated radar target f_rad_u
-    plays the loop's f_rad with an identity auxiliary.
+    constrained to the sphere ||F_BB||_F^2 = c of `baseband_power`.  The
+    analog blocks have disjoint supports and unit-modulus entries, so the Gram
+    matrix is (num_antennas / num_rf_chains) I and the optimum is G scaled
+    onto the sphere.  Row r of G sums e^{-j phi_i} m_i over the antennas of
+    chain r.  When G is zero every point of the sphere is optimal, and the
+    first entry is picked.  The rotated radar target f_rad_u plays the loop's
+    f_rad with an identity auxiliary.  The targets and `eta` are checked as
+    `_one_member_setup` checks them, and `total_power` as `baseband_power`
+    does.
     """
-    f_com = np.asarray(f_com)
-    f_rad_u = np.asarray(f_rad_u)
-    if f_com.shape != f_rad_u.shape:
-        raise ValueError("f_com and the rotated radar target must have equal shapes")
-    if f_com.shape[0] != analog.num_antennas:
-        raise ValueError(f"targets have {f_com.shape[0]} rows, expected {analog.num_antennas}")
-    targets = _chain_targets(f_com, f_rad_u, analog.num_rf_chains)
+    if len(f_com) != analog.num_antennas:
+        raise ValueError(f"targets have {len(f_com)} rows, expected {analog.num_antennas}")
+    targets, mix = _one_member_setup(f_com, f_rad_u, eta, analog.num_rf_chains)
     sums = _block_sums(np.exp(-1j * analog.phases)[None], targets)
-    eta = np.array([eta], dtype=float)
-    mix = _mixing(np.eye(f_com.shape[1], dtype=complex)[None], eta)
     basebands, _ = _baseband_step(sums, mix, analog.num_antennas, total_power)
     return BasebandBeamformer(basebands[0])
 
@@ -400,7 +412,7 @@ def _baseband_step(sums: np.ndarray, mix: np.ndarray, num_antennas: int,
         g[~nonzero, 0, 0] = 1.0
         norm_sq[~nonzero] = 1.0
     # onto the power sphere, as `scale_to_power` does, by the norms just taken
-    target = g.shape[1] * total_power / num_antennas
+    target = baseband_power(num_antennas, g.shape[1], total_power)
     return g * np.sqrt(target / norm_sq)[:, None, None], g_norms
 
 
@@ -414,7 +426,7 @@ def _objective_offsets(targets: np.ndarray, num_streams: int, eta: np.ndarray,
 
 
 def _chain_objective(offsets: np.ndarray, g_norms: np.ndarray,
-                     baseband_power: float) -> np.ndarray:
+                     power: float) -> np.ndarray:
     """The objective right after a baseband step: offsets - 2 sqrt(c) ||G||_F.
 
     The weighted distance expands to ||F||^2 + eta ||f_com||^2
@@ -422,7 +434,7 @@ def _chain_objective(offsets: np.ndarray, g_norms: np.ndarray,
     Here ||F||^2 = P exactly, ||f_rad U|| = ||f_rad|| because U has orthonormal
     rows, and Re<F, M> = Re<F_BB, G> = sqrt(c) ||G||_F for F_BB = sqrt(c) G / ||G||_F.
     """
-    return offsets - 2.0 * math.sqrt(baseband_power) * g_norms
+    return offsets - 2.0 * math.sqrt(power) * g_norms
 
 
 def _check_finite_objective(values: np.ndarray) -> None:
@@ -519,9 +531,7 @@ def alternating_minimization_stack(problems, f_rad,
         raise ValueError("f_com and f_rad must be 2-D with the same number of rows")
     num_antennas, num_streams = shape
     num_targets = f_rad.shape[1]
-    if not is_integer_in(num_rf_chains, 1) or num_antennas % num_rf_chains != 0:
-        raise ValueError(f"{num_antennas} antennas not divisible by "
-                         f"{num_rf_chains} RF chains")
+    chain_block(num_antennas, num_rf_chains)
     if num_streams < num_targets:
         raise ValueError("need at least as many streams as radar targets")
 
@@ -543,7 +553,7 @@ def alternating_minimization_stack(problems, f_rad,
     eta, offsets, values = (np.concatenate(a) for a in (eta, offsets, values))
     _check_finite_objective(values)
     phasors, basebands = (np.repeat(np.stack(a), counts, axis=0) for a in zip(*starts))
-    baseband_power = num_rf_chains * first.total_power / num_antennas
+    power = baseband_power(num_antennas, num_rf_chains, first.total_power)
     # the radar block sums of one iteration's phasors feed the next unitary step
     rows = _problem_rows(targets, counts)
     g_rad = _block_sums(phasors, targets, rows)[..., num_streams:]
@@ -569,7 +579,7 @@ def alternating_minimization_stack(problems, f_rad,
         basebands, g_norms = _baseband_step(sums, mix, num_antennas, first.total_power)
         g_rad = sums[..., num_streams:]
         previous = values
-        values = _chain_objective(offsets, g_norms, baseband_power)
+        values = _chain_objective(offsets, g_norms, power)
         _check_finite_objective(values)
         for member, value in zip(members.tolist(), values.tolist()):
             traces[member].append(value)

@@ -39,7 +39,7 @@ if BLAS_THREADS_PINNED:
 
 import numpy as np
 
-from . import altmin, channel, metrics, ula
+from . import altmin, channel, hybrid, metrics, ula
 
 # trial t draws its channel from base_seed + t and its solver start from
 # base_seed + t + ALTMIN_SEED_OFFSET; the two seed ranges are disjoint exactly
@@ -127,6 +127,14 @@ class ExperimentConfig:
         if self.total_power < min_power:
             raise ConfigError(f"total_power must be at least {min_power:.3g} at "
                               f"n_tx={self.n_tx}, got {self.total_power!r}")
+        # the solver's largest intermediates are sums of squares: the block
+        # sums' squared norms, up to block * total_power with the phases
+        # aligned, and the random start's fitting errors, up to 4 * total_power;
+        # this bound keeps both a factor 2 below DBL_MAX
+        max_power = sys.float_info.max / (2 * max(hybrid.chain_block(self.n_tx, self.n_rf), 4))
+        if self.total_power > max_power:
+            raise ConfigError(f"total_power must be at most {max_power:.3g} at n_tx={self.n_tx} "
+                              f"and n_rf={self.n_rf}, got {self.total_power!r}")
         if not self.eta_values or not all(ula.is_real_in(e, 0, 1, "[]") for e in self.eta_values):
             raise ConfigError("eta_values must be a nonempty list of values in [0, 1]")
         if len(self.snr_db_values) == 0:
@@ -438,7 +446,13 @@ def run_beampattern(config: ExperimentConfig, eta: float,
     products = np.concatenate([r["product"] for r in results], axis=1)
     covariance = ula.covariance_of(products)
     covariance /= len(results)
-    gains = ula.beampattern(covariance, ula.UlaConfig(config.n_tx), np.deg2rad(grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gains = ula.beampattern(covariance, ula.UlaConfig(config.n_tx), np.deg2rad(grid))
+    # the pattern sums up to n_tx terms of the covariance's size, so a power
+    # near the float limit can overflow it
+    if not np.isfinite(gains).all():
+        raise ConfigError(f"total_power {config.total_power!r} gives a beampattern that is "
+                          f"not finite at n_tx={config.n_tx}; lower it")
     rows = list(zip(grid.tolist(), gains.tolist()))
     header = {
         "command": "beampattern",

@@ -17,7 +17,8 @@ def achievable_rate(h, f, w, snr_db: float):
     whitening of W^H W, and the determinant argument is symmetrized before the
     eigenvalue solve so roundoff cannot produce a negative log argument.  An
     `snr_db` that is not a finite real number, or whose snr overflows a float,
-    raises `ValueError`.
+    raises `ValueError`.  A precoder whose signal matrix overflows a float (a
+    power near the float maximum) gets an infinite rate.
 
     `f` may also be a stack of precoders (..., num_tx, num_streams) for the
     one channel and combiner; W^H W, its Cholesky factor and W^H H are then
@@ -49,8 +50,11 @@ def achievable_rate(h, f, w, snr_db: float):
     whitened = np.linalg.solve(chol, (w.conj().T @ h) @ f)
     signal = whitened @ whitened.conj().swapaxes(-1, -2)
     signal = (signal + signal.conj().swapaxes(-1, -2)) / 2
+    overflowed = ~np.isfinite(signal).all(axis=(-2, -1))
+    signal[overflowed] = 0.0  # its inf or NaN entries would stop eigvalsh for the whole stack
     eigs = np.clip(np.linalg.eigvalsh(signal), 0.0, None)
     rates = np.sum(np.log2(1.0 + (snr / num_streams) * eigs), axis=-1)
+    rates = np.where(overflowed, math.inf, rates)
     return float(rates) if rates.ndim == 0 else rates
 
 

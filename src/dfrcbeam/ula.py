@@ -158,9 +158,12 @@ def covariance_of(f: np.ndarray) -> np.ndarray:
 
 def angle_grid_size(start_deg: float, stop_deg: float, step_deg: float) -> int:
     """Number of points of `angle_grid_deg(start_deg, stop_deg, step_deg)`,
-    checked without forming the grid."""
-    if not step_deg > 0:
-        raise ValueError("step_deg must be positive")
+    checked without forming the grid.  The ends must be finite real numbers and
+    the step one in (0, inf), else `ValueError`."""
+    if not all(is_real_in(end, -math.inf, math.inf, "()") for end in (start_deg, stop_deg)):
+        raise ValueError("start_deg and stop_deg must be finite real numbers")
+    if not is_real_in(step_deg, 0, math.inf, "()"):
+        raise ValueError("step_deg must be a finite real number in (0, inf)")
     steps = (stop_deg - start_deg) / step_deg
     # numpy caps an array's bytes at intp's maximum, 8 bytes per float64 point
     if not abs(steps) < np.iinfo(np.intp).max // 8:

@@ -338,6 +338,16 @@ def test_solve_analog_validates_shapes():
         solve_analog(crandn(rng, (4, 2)), crandn(rng, (12, 2)), crandn(rng, (12, 3)), 0.5)
 
 
+@pytest.mark.parametrize("eta", [2, -1, True, math.nan], ids=["2", "-1", "True", "nan"])
+def test_one_member_solves_refuse_an_eta_outside_0_1(eta):
+    rng = np.random.default_rng(49)
+    f_com, f_rad_u = crandn(rng, (12, 2)), crandn(rng, (12, 2))
+    with pytest.raises(ValueError, match="eta"):
+        solve_analog(crandn(rng, (4, 2)), f_com, f_rad_u, eta)
+    with pytest.raises(ValueError, match="eta"):
+        solve_baseband(AnalogBeamformer(12, 4, np.zeros(12)), f_com, f_rad_u, eta, 1.0)
+
+
 def test_sphere_ls_isotropic_gram():
     rng = np.random.default_rng(50)
     g = crandn(rng, (5, 3))

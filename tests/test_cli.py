@@ -1285,3 +1285,25 @@ def test_cli_names_the_total_power_whose_rates_overflow(tmp_path, capsys):
     assert not seen
     assert not out.exists()
     assert not (tmp_path / "x.csv.meta.json").exists()
+
+
+def test_cli_names_the_total_power_whose_rate_matrix_overflows(tmp_path, capsys):
+    # at the default dimensions the signal matrix inside the rate overflows
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"total_power": 6e306, "num_trials": 2}))
+    out = tmp_path / "x.csv"
+    assert main(["rate-sweep", "--config", str(config_path), "--out", str(out)]) == 2
+    assert "snr_db_values entry 0.0 and total_power 6e+306" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_names_the_total_power_whose_beampattern_overflows(tmp_path, capsys):
+    # the averaged covariance of 2 trials sums two powers near the float limit
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"total_power": 1.5e307, "num_trials": 2}))
+    out = tmp_path / "x.csv"
+    assert main(["beampattern", "--eta", "0.4", "--average-trials", "--config",
+                 str(config_path), "--out", str(out)]) == 2
+    assert "total_power 1.5e+307 gives a beampattern that is not finite" in (
+        capsys.readouterr().err)
+    assert not out.exists()

@@ -157,6 +157,33 @@ def test_a_huge_total_power_is_not_a_solver_fault(tmp_path, doc, eta):
     assert_contract(code, out)
 
 
+# layouts of one chain, of one antenna per chain and of a few in between, and
+# the commands; every config stays at 2 trials and 3 eta values at most
+POWER_LAYOUTS = {
+    "12/4": TINY, "12/1": {**TINY, "n_rf": 1}, "12/12": {**TINY, "n_rf": 12},
+    "120/24": {"num_trials": 2, "eta_values": [0.4, 0.7, 1.0]},
+    "120/2": {"num_trials": 2, "n_rf": 2, "eta_values": [0.4, 0.7, 1.0]},
+}
+POWER_COMMANDS = {"rate-sweep": RATE_SWEEP, "beampattern": BEAMPATTERN,
+                  "convergence": ["convergence", "--eta", "0.6"]}
+
+
+@pytest.mark.parametrize("command", POWER_COMMANDS)
+@pytest.mark.parametrize("layout", POWER_LAYOUTS)
+def test_no_total_power_is_a_solver_fault(tmp_path, layout, command):
+    doc = POWER_LAYOUTS[layout]
+    config = ExperimentConfig(**doc)
+    # validate()'s ceiling: DBL_MAX / (2 max(n_tx / n_rf, 4))
+    ceiling = sys.float_info.max / (2 * max(config.n_tx // config.n_rf, 4))
+    code, out = run(tmp_path, {**doc, "total_power": ceiling}, POWER_COMMANDS[command])
+    assert code in (0, 2)
+    assert_contract(code, out)
+    above = math.nextafter(ceiling, math.inf)
+    code, out = run(tmp_path, {**doc, "total_power": above}, POWER_COMMANDS[command])
+    assert code == 2
+    assert not out.exists()
+
+
 EXTREMES = [0.0, -0.0, 1.0, -1.0, 90.0, -90.0, 30.0, 1e300, -1e300, 1e-300, -1e-300,
             sys.float_info.min, 5e-324, -5e-324]
 

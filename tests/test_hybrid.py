@@ -1,10 +1,18 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dfrcbeam.altmin import AltMinConfig, alternating_minimization_stack, solve_analog
 from dfrcbeam.hybrid import (
     AnalogBeamformer,
     BasebandBeamformer,
     HybridBeamformer,
+    baseband_power,
+    chain_block,
     materialize_product,
     normalize_power,
 )
@@ -166,3 +174,57 @@ def test_normalize_power_rejects_bad_counts_and_powers(num_antennas, num_rf_chai
     bb = BasebandBeamformer(np.ones((2, 2), dtype=complex))
     with pytest.raises(ValueError):
         normalize_power(bb, num_antennas, num_rf_chains, total_power)
+
+
+TARGETS = np.ones((12, 2), dtype=complex)
+
+# each place that checks the partially connected layout of 12 antennas, given a
+# chain count; the product and the one-member solve read theirs from the rows
+# of the baseband, so only a row count reaches them
+COUNT_SITES = {
+    "chain_block": lambda r: chain_block(12, r),
+    "baseband_power": lambda r: baseband_power(12, r, 1.0),
+    "AnalogBeamformer": lambda r: AnalogBeamformer(12, r, np.zeros(12)),
+    "normalize_power": lambda r: normalize_power(
+        BasebandBeamformer(np.ones((max(int(r), 1), 2))), 12, r, 1.0),
+    "alternating_minimization_stack": lambda r: alternating_minimization_stack(
+        [(TARGETS, [AltMinConfig(eta=0.5, total_power=1.0)])], TARGETS[:, :1], r),
+}
+ROW_SITES = {
+    "materialize_product": lambda rows: materialize_product(np.zeros(12), np.ones((rows, 2))),
+    "solve_analog": lambda rows: solve_analog(np.ones((rows, 2)), TARGETS, TARGETS, 0.5),
+}
+
+
+@pytest.mark.parametrize("site, num_rf_chains", [
+    *(pytest.param(site, r, id=f"{name}-{r!r}")
+      for name, site in COUNT_SITES.items() for r in (5, 0, True, 4.0)),
+    *(pytest.param(site, r, id=f"{name}-{r!r}-rows")
+      for name, site in ROW_SITES.items() for r in (5, 0)),
+])
+def test_every_layout_site_refuses_a_bad_split(site, num_rf_chains):
+    with pytest.raises(ValueError):
+        site(num_rf_chains)
+
+
+def test_normalize_power_near_the_float_maximum():
+    total_power = 1.7e308  # num_rf_chains * total_power overflows
+    normalized = normalize_power(BasebandBeamformer(np.ones((2, 2))), 4, 2, total_power)
+    assert np.isfinite(normalized.matrix).all()
+    product = materialize_product(AnalogBeamformer(4, 2, np.zeros(4)), normalized.matrix)
+    assert abs(np.sum(np.abs(product) ** 2) - total_power) <= 1e-12 * total_power
+
+
+def test_normalize_power_refuses_a_baseband_of_another_chain_count():
+    with pytest.raises(ValueError, match="rows"):
+        normalize_power(BasebandBeamformer(np.ones((4, 2))), 8, 2, 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(num_rf=st.integers(1, 64), block=st.integers(1, 64),
+       total_power=st.floats(0, sys.float_info.max, exclude_min=True)
+       | st.floats(1e306, sys.float_info.max))
+def test_baseband_power_is_the_quotient_wherever_that_is_finite(num_rf, block, total_power):
+    power = baseband_power(num_rf * block, num_rf, total_power)
+    quotient = num_rf * total_power / (num_rf * block)
+    assert power == (quotient if math.isfinite(quotient) else total_power / block)

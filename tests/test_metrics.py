@@ -99,6 +99,16 @@ def test_rate_rejects_rank_deficient_combiner():
         achievable_rate(h, f, w, 0.0)
 
 
+def test_rate_of_a_precoder_whose_signal_overflows_is_infinite():
+    rng = np.random.default_rng(74)
+    h, w, f = crandn(rng, (3, 4)), crandn(rng, (3, 2)), crandn(rng, (4, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = achievable_rate(h, np.stack([f, 1e160 * f, f]), w, 0.0)
+        assert achievable_rate(h, 1e160 * f, w, 0.0) == math.inf
+    assert rates[0] == rates[2] == achievable_rate(h, f, w, 0.0)
+    assert rates[1] == math.inf
+
+
 @pytest.mark.parametrize("snr_db", [
     True, math.nan, math.inf, -math.inf, "0", 1e308, 3090.0,
     pytest.param(np.float64(3090.0), id="numpy-3090.0"), pytest.param(10**400, id="10**400"),

@@ -28,6 +28,7 @@ BASEBAND = BasebandBeamformer(np.ones((2, 2), dtype=complex))
 TINY_CONFIG = ('{"n_tx": 12, "n_rf": 4, "n_streams": 2, "n_rx": 2, "n_paths": 3, '
                '"target_angles_deg": [0.0], "num_trials": 1, "max_iterations": 1}')
 MIN_POWER = 1e5 * ExperimentConfig().n_tx / sys.float_info.max  # validate()'s floor
+MAX_POWER = sys.float_info.max / 10  # validate()'s ceiling: 120 antennas on 24 chains
 
 
 def run_convergence(eta: float) -> None:
@@ -71,7 +72,7 @@ SITES = {
         lambda x: math.isfinite(x) and -90.0 <= x <= 90.0),
     "ExperimentConfig.total_power": (
         lambda x: ExperimentConfig(total_power=x),
-        lambda x: math.isfinite(x) and x > 0 and x >= MIN_POWER),
+        lambda x: math.isfinite(x) and x > 0 and MIN_POWER <= x <= MAX_POWER),
     "ExperimentConfig.eta_values": (
         lambda x: ExperimentConfig(eta_values=(x,)),
         lambda x: math.isfinite(x) and 0.0 <= x <= 1.0),

@@ -299,6 +299,15 @@ def test_covariance_hermitian_psd():
         assert eigs.min() >= -1e-9 * np.trace(cov).real
 
 
+@pytest.mark.parametrize("start, stop, step", [
+    (-90.0, 90.0, math.inf), (-90.0, 90.0, math.nan), (-90.0, 90.0, 0.0), (-90.0, 90.0, True),
+    (math.nan, 90.0, 1.0), (-90.0, math.inf, 1.0), ("-90", 90.0, 1.0),
+])
+def test_angle_grid_takes_finite_ends_and_a_positive_finite_step(start, stop, step):
+    with pytest.raises(ValueError, match="finite real"):
+        angle_grid_deg(start, stop, step)
+
+
 def test_angle_grid_deg():
     grid = angle_grid_deg(-90.0, 90.0, 0.5)
     assert len(grid) == 361
